@@ -34,7 +34,7 @@ from .core import (
     ValidationError,
 )
 from .evaluator import squared_discrepancy, value_and_gradient
-from .kernels import KernelSpec, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
 
 __all__ = [
     "GreedyConfig",
@@ -168,48 +168,23 @@ def _running_min(values: Sequence[float]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _b_product_rows(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """prod_j B_j(p_j) for each row of pts; zeros signal no B term."""
-    if not spec.has_b_term:
-        return np.zeros(pts.shape[0])
-    acc = np.ones(pts.shape[0])
-    for j in range(spec.d):
-        acc = acc * spec.b_col(pts[:, j], j)
-    return acc
-
-
-def _c_cross(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix of prod_j C_j(left_i, right_k) with shape (len(left), len(right))."""
-    acc = np.ones((left.shape[0], right.shape[0]))
-    for j in range(spec.d):
-        acc = acc * spec.c_col(left[:, j][:, None], right[:, j][None, :], j)
-    return acc
-
-
-def _c_diag(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    acc = np.ones(pts.shape[0])
-    for j in range(spec.d):
-        acc = acc * spec.c_col(pts[:, j], pts[:, j], j)
-    return acc
-
-
 def _batch_objective(spec: KernelSpec, base: np.ndarray,
                      batch_pts: np.ndarray, total: int) -> float:
     """G(Y) for the whole batch against the fixed base points."""
-    b_sum = float(np.sum(_b_product_rows(spec, batch_pts)))
-    cross = float(np.sum(_c_cross(spec, base, batch_pts)))
-    pair = float(np.sum(_c_cross(spec, batch_pts, batch_pts)))
+    b_sum = float(np.sum(b_rows(spec, batch_pts)))
+    cross = float(np.sum(c_cross(spec, base, batch_pts)))
+    pair = float(np.sum(c_cross(spec, batch_pts, batch_pts)))
     return -2.0 * total * b_sum + 2.0 * cross + pair
 
 
 def _slot_scores(spec: KernelSpec, base: np.ndarray, chosen: np.ndarray,
                  cands: np.ndarray, total: int) -> np.ndarray:
     """Objective increment of each candidate as the next batch point."""
-    scores = -2.0 * total * _b_product_rows(spec, cands)
-    scores = scores + 2.0 * np.sum(_c_cross(spec, base, cands), axis=0)
+    scores = -2.0 * total * b_rows(spec, cands)
+    scores = scores + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
     if chosen.shape[0]:
-        scores = scores + 2.0 * np.sum(_c_cross(spec, chosen, cands), axis=0)
-    return scores + _c_diag(spec, cands)
+        scores = scores + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
+    return scores + c_diag(spec, cands)
 
 
 def _candidate_grid(d: int, k: int) -> np.ndarray:

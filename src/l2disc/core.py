@@ -112,6 +112,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_unit_cube(arr: np.ndarray) -> None:
+    """Raise ValidationError unless ``arr`` is an (n, d) array, n, d >= 1,
+    of finite coordinates in [0, 1]."""
+    if arr.ndim != 2:
+        raise ValidationError(
+            f"coords must be a 2-d array of shape (n, d), got shape {arr.shape}"
+        )
+    n, d = arr.shape
+    if n < 1 or d < 1:
+        raise ValidationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    # min and max propagate NaN, so two reductions pass every valid set; the
+    # optimizers run this check on every iterate
+    if 0.0 <= arr.min() and arr.max() <= 1.0:
+        return
+    if not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        raise ValidationError(
+            f"non-finite coordinate at row {bad[0]}, column {bad[1]}"
+        )
+    bad = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
+    raise ValidationError(
+        f"coordinate out of [0, 1] at row {bad[0]}, column {bad[1]}: "
+        f"{arr[bad[0], bad[1]]!r}"
+    )
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered multiset of ``n`` points in the closed unit cube [0,1]^d.
@@ -126,25 +152,7 @@ class PointSet:
 
     def __post_init__(self) -> None:
         arr = np.array(self.coords, dtype=np.float64, copy=True, order="C")
-        if arr.ndim != 2:
-            raise ValidationError(
-                f"coords must be a 2-d array of shape (n, d), got shape {arr.shape}"
-            )
-        n, d = arr.shape
-        if n < 1 or d < 1:
-            raise ValidationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValidationError(
-                f"non-finite coordinate at row {bad[0]}, column {bad[1]}"
-            )
-        out = (arr < 0.0) | (arr > 1.0)
-        if out.any():
-            bad = np.argwhere(out)[0]
-            raise ValidationError(
-                f"coordinate out of [0, 1] at row {bad[0]}, column {bad[1]}: "
-                f"{arr[bad[0], bad[1]]!r}"
-            )
+        check_unit_cube(arr)
         object.__setattr__(self, "coords", _freeze(arr))
 
     @property

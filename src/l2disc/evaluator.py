@@ -20,8 +20,9 @@ from .core import (
     PointSet,
     SquaredDiscrepancy,
     ValidationError,
+    check_unit_cube,
 )
-from .kernels import KernelSpec, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
 
 __all__ = [
     "squared_value",
@@ -35,30 +36,19 @@ __all__ = [
 _ASD_REFLECTION_MAX_D = 20
 
 
-def _check_dims(spec: KernelSpec, d: int) -> None:
-    if d != spec.d:
+def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
+    """coords as a float64 (n, d) array in [0, 1]^d with d matching spec.
+
+    O(nd) against the O(n^2 d) evaluation it guards, so every public
+    evaluation path runs it.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    check_unit_cube(coords)
+    if coords.shape[1] != spec.d:
         raise ValidationError(
-            f"kernel spec is for d={spec.d} but the points have d={d}"
+            f"kernel spec is for d={spec.d} but the points have d={coords.shape[1]}"
         )
-
-
-def _b_products(spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
-    """prod_j B_j(x_ij) for every row i, shape (n,)."""
-    n, d = coords.shape
-    out = np.ones(n)
-    for j in range(d):
-        out *= spec.b_col(coords[:, j], j)
-    return out
-
-
-def _c_matrix(spec: KernelSpec, coords: np.ndarray) -> np.ndarray:
-    """prod_j C_j(x_ij, x_i'j) for every pair (i, i'), shape (n, n)."""
-    n, d = coords.shape
-    out = np.ones((n, n))
-    for j in range(d):
-        col = coords[:, j]
-        out *= spec.c_col(col[:, None], col[None, :], j)
-    return out
+    return coords
 
 
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
@@ -68,13 +58,10 @@ def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     public wrapper `squared_discrepancy` adds type packaging and the
     negative-value guard.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    n, d = coords.shape
-    _check_dims(spec, d)
-    acc = spec.a
-    if spec.has_b_term:
-        acc = acc - 2.0 * float(_b_products(spec, coords).sum()) / n
-    acc = acc + float(_c_matrix(spec, coords).sum()) / (n * n)
+    coords = _checked_coords(spec, coords)
+    n = coords.shape[0]
+    acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
+    acc = acc + float(c_cross(spec, coords, coords).sum()) / (n * n)
     return acc
 
 
@@ -153,9 +140,8 @@ def _value_and_gradient_arrays(
         raise NonDifferentiableMeasureError(
             f"measure {spec.measure} has a discontinuous kernel; no gradient exists"
         )
-    coords = np.asarray(coords, dtype=np.float64)
+    coords = _checked_coords(spec, coords)
     n, d = coords.shape
-    _check_dims(spec, d)
 
     # C part: tensor of per-coordinate factors, pair products excluding each
     # coordinate, and the derivative in the first argument.
@@ -173,16 +159,15 @@ def _value_and_gradient_arrays(
         cfull = cexc[:, :, 0] * cten[:, :, 0]
         value = spec.a + float(cfull.sum()) / (n * n)
 
-    if spec.has_b_term:
-        bmat = np.empty((n, d))
-        dbmat = np.empty((n, d))
-        for j in range(d):
-            bmat[:, j] = spec.b_col(coords[:, j], j)
-            dbmat[:, j] = spec.b_prime_col(coords[:, j], j)
-        bexc = _prod_except(bmat, axis=1)
-        grad -= (2.0 / n) * dbmat * bexc
-        if want_value:
-            value -= 2.0 * float((bexc[:, 0] * bmat[:, 0]).sum()) / n
+    bmat = np.empty((n, d))
+    dbmat = np.empty((n, d))
+    for j in range(d):
+        bmat[:, j] = spec.b_col(coords[:, j], j)
+        dbmat[:, j] = spec.b_prime_col(coords[:, j], j)
+    bexc = _prod_except(bmat, axis=1)
+    grad -= (2.0 / n) * dbmat * bexc
+    if want_value:
+        value -= 2.0 * float((bexc[:, 0] * bmat[:, 0]).sum()) / n
 
     return value, grad
 
@@ -196,34 +181,14 @@ def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:
         F(y) = -2 * prod_j B_j(y_j)
                + [ 2 * sum_i prod_j C_j(x_ij, y_j) + prod_j C_j(y_j, y_j) ] / (n+1)
 
-    (the B product is dropped for the measure without a B term).  Adding the
-    constant that collects all terms not involving y and dividing by (n+1)
-    recovers the full squared discrepancy of the extended set, so the argmin
-    over y of F equals the argmin of the extended discrepancy — a relation
-    the tests verify pointwise.
+    Adding the constant that collects all terms not involving y and
+    dividing by (n+1) recovers the full squared discrepancy of the extended
+    set, so the argmin over y of F equals the argmin of the extended
+    discrepancy — a relation the tests verify pointwise.
     """
-    yarr = np.asarray(y, dtype=np.float64).reshape(-1)
-    if yarr.size != spec.d:
-        raise ValidationError(
-            f"candidate point has {yarr.size} coordinates, expected {spec.d}"
-        )
-    if not np.all(np.isfinite(yarr)) or yarr.min() < 0.0 or yarr.max() > 1.0:
-        raise ValidationError("candidate point must lie in [0, 1]^d")
-    coords = points.coords
-    _check_dims(spec, points.d)
-    n = points.n
-
-    acc = 0.0
-    if spec.has_b_term:
-        bprod = 1.0
-        for j in range(spec.d):
-            bprod *= float(spec.b_col(yarr[j], j))
-        acc -= 2.0 * bprod
-
-    cross = np.ones(n)
-    selfprod = 1.0
-    for j in range(spec.d):
-        cross *= spec.c_col(coords[:, j], yarr[j], j)
-        selfprod *= float(spec.c_col(yarr[j], yarr[j], j))
-    acc += (2.0 * float(cross.sum()) + selfprod) / (n + 1)
-    return acc
+    coords = _checked_coords(spec, points.coords)
+    ypt = _checked_coords(spec, np.reshape(y, (1, -1)))
+    bprod = float(b_rows(spec, ypt)[0])
+    cross = float(c_cross(spec, coords, ypt).sum())
+    selfprod = float(c_diag(spec, ypt)[0])
+    return -2.0 * bprod + (2.0 * cross + selfprod) / (coords.shape[0] + 1)

@@ -8,8 +8,14 @@ Every measure here admits the same closed form on a point set
 
 with a constant ``A``, a one-argument factor ``B`` and a symmetric
 two-argument factor ``C`` applied coordinate-wise.  The periodic measure has
-no B term at all (encoded as ``has_b_term=False``, not as B == 0), and the
-weighted variants use per-coordinate factors parametrized by gamma_j.
+no B term: it is encoded as B == 0 with A = -3^-d, which keeps its values
+bit-for-bit those of the two-term form.  The weighted variants are
+Hickernell's product weights applied to a base measure: B -> 1 + gamma_j B,
+C -> 1 + gamma_j C and A -> prod_j (1 + gamma_j A(1)).
+
+The coordinate-product sums of that form are written once, here:
+``b_rows``, ``c_cross`` and ``c_diag`` multiply the factors in coordinate
+order j = 0..d-1 into one accumulator, over any leading batch axes.
 
 A KernelSpec also carries the expectation constants
 
@@ -33,7 +39,7 @@ max/min contribute slope one-half.  With these choices the diagonal pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -126,14 +132,6 @@ def _c_cad(x, z):
     return (vx == vz) * np.minimum(ax, az)
 
 
-def _b_sym(x):
-    return x * (1.0 - x) / 2.0
-
-
-def _db_sym(x):
-    return 0.5 - x
-
-
 def _c_sym(x, z):
     return (1.0 - 2.0 * np.abs(x - z)) / 4.0
 
@@ -170,28 +168,33 @@ def _b_asd(x):
     return (1.0 + 2.0 * x - 2.0 * x * x) / 4.0
 
 
-def _db_asd(x):
-    return 0.5 - x
-
-
 def _c_asd(x, z):
     return (1.0 - np.abs(x - z)) / 2.0
 
 
-def _dc_asd(x, z):
-    return -0.5 * _sign(x - z)
+def _zero(x):
+    # per's B and B': with B == 0 the B sum adds exactly 0.0, and A = -3^-d
+    # is the constant of per's two-term form, so its values keep their bits
+    return np.zeros(np.shape(x))
 
 
-# Unweighted measures: (B, B', C, dC/dx, A(d), continuous, geometric, has_B)
+# Unweighted measures: (B, B', C, dC/dx, A(d), continuous, geometric); a
+# factor shared by several measures is defined once, under the first of them
 _PLAIN = {
-    MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d, True, True, True),
-    MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d, True, True, True),
-    MeasureId.PER: (None, None, _c_per, _dc_per, lambda d: -(3.0 ** -d), True, True, False),
-    MeasureId.CTR: (_b_ctr, _db_ctr, _c_ctr, _dc_ctr, lambda d: 12.0 ** -d, True, True, True),
-    MeasureId.CAD: (_b_ext, _db_ext, _c_cad, None, lambda d: 12.0 ** -d, False, True, True),
-    MeasureId.SYM: (_b_sym, _db_sym, _c_sym, _dc_sym, lambda d: 12.0 ** -d, True, True, True),
-    MeasureId.MIX: (_b_mix, _db_mix, _c_mix, _dc_mix, lambda d: (7.0 / 12.0) ** d, True, False, True),
-    MeasureId.ASD: (_b_asd, _db_asd, _c_asd, _dc_asd, lambda d: 3.0 ** -d, True, True, True),
+    MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d, True, True),
+    MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d, True, True),
+    MeasureId.PER: (_zero, _zero, _c_per, _dc_per, lambda d: -(3.0 ** -d), True, True),
+    MeasureId.CTR: (_b_ctr, _db_ctr, _c_ctr, _dc_ctr, lambda d: 12.0 ** -d, True, True),
+    MeasureId.CAD: (_b_ext, _db_ext, _c_cad, None, lambda d: 12.0 ** -d, False, True),
+    MeasureId.SYM: (_b_ext, _db_ext, _c_sym, _dc_sym, lambda d: 12.0 ** -d, True, True),
+    MeasureId.MIX: (_b_mix, _db_mix, _c_mix, _dc_mix, lambda d: (7.0 / 12.0) ** d, True, False),
+    MeasureId.ASD: (_b_asd, _db_ext, _c_asd, _dc_sym, lambda d: 3.0 ** -d, True, True),
+}
+
+# Weighted measures: the base measure their product weights apply to
+_WEIGHTED_BASE = {
+    MeasureId.CTR_WEIGHTED: MeasureId.CTR,
+    MeasureId.SYM_WEIGHTED: MeasureId.SYM,
 }
 
 
@@ -204,8 +207,8 @@ class KernelSpec:
     gamma_j.  All callables broadcast over numpy arrays.
 
     ``eb``, ``ec_uv`` and ``ec_uu`` are scalars for unweighted measures and
-    length-d arrays for the weighted ones; ``eb`` is None for the measure
-    with no B term.  They are filled by quadrature at construction.
+    length-d arrays for the weighted ones; ``eb`` is 0.0 for ``per``, whose
+    B is identically zero.  They are filled by quadrature at construction.
     """
 
     measure: MeasureId
@@ -213,35 +216,66 @@ class KernelSpec:
     a: float
     continuous: bool
     has_geometric_oracle: bool
-    has_b_term: bool
     gamma: Optional[np.ndarray] = field(repr=False, default=None)
-    b_col: Optional[Callable] = field(repr=False, default=None)
-    b_prime_col: Optional[Callable] = field(repr=False, default=None)
+    b_col: Callable = field(repr=False, default=None)
+    b_prime_col: Callable = field(repr=False, default=None)
     c_col: Callable = field(repr=False, default=None)
     c_dx_col: Optional[Callable] = field(repr=False, default=None)
-    eb: "float | np.ndarray | None" = field(repr=False, default=None)
+    eb: "float | np.ndarray" = field(repr=False, default=0.0)
     ec_uv: "float | np.ndarray" = field(repr=False, default=0.0)
     ec_uu: "float | np.ndarray" = field(repr=False, default=0.0)
 
     # -- products over coordinates of the expectation constants ------------
 
-    def eb_product(self) -> Optional[float]:
-        """prod_j E[B_j(u)], or None when the measure has no B term."""
-        if not self.has_b_term:
-            return None
-        if np.ndim(self.eb) == 0:
-            return float(self.eb) ** self.d
-        return float(np.prod(self.eb))
+    def _coordinate_product(self, const: "float | np.ndarray") -> float:
+        if np.ndim(const) == 0:
+            return float(const) ** self.d
+        return float(np.prod(const))
+
+    def eb_product(self) -> float:
+        """prod_j E[B_j(u)]."""
+        return self._coordinate_product(self.eb)
 
     def ecuv_product(self) -> float:
-        if np.ndim(self.ec_uv) == 0:
-            return float(self.ec_uv) ** self.d
-        return float(np.prod(self.ec_uv))
+        return self._coordinate_product(self.ec_uv)
 
     def ecuu_product(self) -> float:
-        if np.ndim(self.ec_uu) == 0:
-            return float(self.ec_uu) ** self.d
-        return float(np.prod(self.ec_uu))
+        return self._coordinate_product(self.ec_uu)
+
+
+# ---------------------------------------------------------------------------
+# coordinate-product sums of the kernel form
+# ---------------------------------------------------------------------------
+#
+# Each helper multiplies the factors in coordinate order j = 0..d-1 into one
+# accumulator in place: the fixed order keeps results bit-reproducible, and
+# the in-place product keeps one (..., n, m) array alive, not two.
+
+
+def b_rows(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """prod_j B_j(p_j) for every row of an (..., n, d) array, shape (..., n)."""
+    out = np.ones(pts.shape[:-1])
+    for j in range(spec.d):
+        out *= spec.b_col(pts[..., j], j)
+    return out
+
+
+def c_cross(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """prod_j C_j(l_ij, r_kj) for (..., n, d) and (..., m, d) arrays with the
+    same leading axes, shape (..., n, m)."""
+    out = np.ones(left.shape[:-1] + right.shape[-2:-1])
+    for j in range(spec.d):
+        out *= spec.c_col(left[..., :, None, j], right[..., None, :, j], j)
+    return out
+
+
+def c_diag(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """prod_j C_j(p_j, p_j) for every row of an (..., n, d) array, shape (..., n)."""
+    out = np.ones(pts.shape[:-1])
+    for j in range(spec.d):
+        col = pts[..., j]
+        out *= spec.c_col(col, col, j)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +351,8 @@ def _quad_unit_square(f) -> float:
     return total
 
 
-def _constants_for(
-    b_col, c_col, j: int
-) -> tuple[Optional[float], float, float]:
-    eb = _quad_unit_1d(lambda x: b_col(x, j)) if b_col is not None else None
+def _constants_for(b_col, c_col, j: int) -> tuple[float, float, float]:
+    eb = _quad_unit_1d(lambda x: b_col(x, j))
     ec_uv = _quad_unit_square(lambda u, v: c_col(u, v, j))
     ec_uu = _quad_unit_1d(lambda x: c_col(x, x, j))
     return eb, ec_uv, ec_uu
@@ -330,13 +362,12 @@ def expectation_constants(spec: KernelSpec):
     """Recompute (E[B(u)], E[C(u,v)], E[C(u,u)]) for a spec by quadrature.
 
     Returns scalars for unweighted measures and length-d arrays for the
-    weighted ones (None in the first slot when there is no B term).  The
-    same routine fills the constants stored on the spec at construction;
+    weighted ones; E[B(u)] is 0.0 for ``per``, whose B is identically zero.
+    The same routine fills the constants stored on the spec at construction;
     calling it again is the independent route used by verification tests.
     """
     if spec.gamma is None:
-        eb, ec_uv, ec_uu = _constants_for(spec.b_col, spec.c_col, 0)
-        return eb, ec_uv, ec_uu
+        return _constants_for(spec.b_col, spec.c_col, 0)
     cols = [_constants_for(spec.b_col, spec.c_col, j) for j in range(spec.d)]
     eb = np.array([c[0] for c in cols])
     ec_uv = np.array([c[1] for c in cols])
@@ -349,42 +380,27 @@ def expectation_constants(spec: KernelSpec):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_factors(measure: MeasureId, gamma: np.ndarray):
+def _factor_columns(measure: MeasureId, gamma: Optional[np.ndarray]):
+    """(b_col, b_prime_col, c_col, c_dx_col) taking the coordinate index j.
+
+    With ``gamma`` the factors of the base measure get the product-weight
+    transform B -> 1 + g_j B, B' -> g_j B', C -> 1 + g_j C, dC -> g_j dC.
+    """
+    b, db, c, dc = _PLAIN[measure][:4]
+    if gamma is None:
+        return (
+            lambda x, j: b(x),
+            lambda x, j: db(x),
+            lambda x, z, j: c(x, z),
+            None if dc is None else (lambda x, z, j: dc(x, z)),
+        )
     g = gamma
-
-    if measure is MeasureId.CTR_WEIGHTED:
-
-        def b_col(x, j):
-            u = np.abs(x - 0.5)
-            return 1.0 + (g[j] / 2.0) * (u - u * u)
-
-        def b_prime_col(x, j):
-            u = x - 0.5
-            return (g[j] / 2.0) * _sign(u) * (1.0 - 2.0 * np.abs(u))
-
-        def c_col(x, z, j):
-            return 1.0 + (g[j] / 2.0) * (
-                np.abs(x - 0.5) + np.abs(z - 0.5) - np.abs(x - z)
-            )
-
-        def c_dx_col(x, z, j):
-            return (g[j] / 2.0) * (_sign(x - 0.5) - _sign(x - z))
-
-    else:  # SYM_WEIGHTED
-
-        def b_col(x, j):
-            return 1.0 + (g[j] / 2.0) * x * (1.0 - x)
-
-        def b_prime_col(x, j):
-            return (g[j] / 2.0) * (1.0 - 2.0 * x)
-
-        def c_col(x, z, j):
-            return 1.0 + (g[j] / 4.0) * (1.0 - 2.0 * np.abs(x - z))
-
-        def c_dx_col(x, z, j):
-            return -(g[j] / 2.0) * _sign(x - z)
-
-    return b_col, b_prime_col, c_col, c_dx_col
+    return (
+        lambda x, j: 1.0 + g[j] * b(x),
+        lambda x, j: g[j] * db(x),
+        lambda x, z, j: 1.0 + g[j] * c(x, z),
+        lambda x, z, j: g[j] * dc(x, z),
+    )
 
 
 def kernel_spec(
@@ -416,50 +432,34 @@ def kernel_spec(
                 f"gamma has length {wv.d} but the point dimension is {d}"
             )
         g = wv.gamma
-        b_col, b_prime_col, c_col, c_dx_col = _weighted_factors(measure, g)
-        a = float(np.prod(1.0 + g / 12.0))
-        spec = KernelSpec(
-            measure=measure,
-            d=d,
-            a=a,
-            continuous=True,
-            has_geometric_oracle=False,
-            has_b_term=True,
-            gamma=g,
-            b_col=b_col,
-            b_prime_col=b_prime_col,
-            c_col=c_col,
-            c_dx_col=c_dx_col,
-        )
+        base = _WEIGHTED_BASE[measure]
+        # A(1) rounds 1/12 but 1/A(1) rounds back to exactly 12, so the
+        # division gives the correctly rounded g_j/12 where g_j * A(1) is an
+        # ulp off for some g_j
+        a = float(np.prod(1.0 + g / (1.0 / _PLAIN[base][4](1))))
+        continuous, geometric = True, False
     else:
         if gamma is not None:
             raise ValidationError(
                 f"measure {measure} does not take a gamma weight vector"
             )
-        b, db, c, dc, a_of_d, continuous, geometric, has_b = _PLAIN[measure]
+        g = None
+        base = measure
+        a_of_d, continuous, geometric = _PLAIN[measure][4:]
+        a = float(a_of_d(d))
 
-        def wrap1(f):
-            return None if f is None else (lambda x, j, _f=f: _f(x))
-
-        def wrap2(f):
-            return None if f is None else (lambda x, z, j, _f=f: _f(x, z))
-
-        spec = KernelSpec(
-            measure=measure,
-            d=d,
-            a=float(a_of_d(d)),
-            continuous=continuous,
-            has_geometric_oracle=geometric,
-            has_b_term=has_b,
-            gamma=None,
-            b_col=wrap1(b),
-            b_prime_col=wrap1(db),
-            c_col=wrap2(c),
-            c_dx_col=wrap2(dc),
-        )
-
+    b_col, b_prime_col, c_col, c_dx_col = _factor_columns(base, g)
+    spec = KernelSpec(
+        measure=measure,
+        d=d,
+        a=a,
+        continuous=continuous,
+        has_geometric_oracle=geometric,
+        gamma=g,
+        b_col=b_col,
+        b_prime_col=b_prime_col,
+        c_col=c_col,
+        c_dx_col=c_dx_col,
+    )
     eb, ec_uv, ec_uu = expectation_constants(spec)
-    object.__setattr__(spec, "eb", eb)
-    object.__setattr__(spec, "ec_uv", ec_uv)
-    object.__setattr__(spec, "ec_uu", ec_uu)
-    return spec
+    return replace(spec, eb=eb, ec_uv=ec_uv, ec_uu=ec_uu)

@@ -49,7 +49,7 @@ from .core import (
     PointSet,
     ValidationError,
 )
-from .kernels import KernelSpec, kernel_spec
+from .kernels import b_rows, c_cross, kernel_spec
 
 __all__ = [
     "OracleEstimate",
@@ -235,23 +235,6 @@ def mc_squared_discrepancy(
     return OracleEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples, seed=int(seed))
 
 
-def _squared_values_batch(spec: KernelSpec, sets: np.ndarray) -> np.ndarray:
-    """Closed-form squared values of a stack of sets, shape (r, n, d) -> (r,)."""
-    r, n, d = sets.shape
-    acc = np.full(r, spec.a)
-    if spec.has_b_term:
-        bprod = np.ones((r, n))
-        for j in range(d):
-            bprod *= spec.b_col(sets[:, :, j], j)
-        acc -= 2.0 * bprod.sum(axis=1) / n
-    cmat = np.ones((r, n, n))
-    for j in range(d):
-        col = sets[:, :, j]
-        cmat *= spec.c_col(col[:, :, None], col[:, None, :], j)
-    acc += cmat.sum(axis=(1, 2)) / (n * n)
-    return acc
-
-
 def mc_expected_iid(
     measure: "MeasureId | str",
     n: int,
@@ -283,7 +266,8 @@ def mc_expected_iid(
     while left > 0:
         r = min(chunk, left)
         sets = gen.random((r, n, d))
-        vals = _squared_values_batch(spec, sets)
+        vals = (spec.a - 2.0 * b_rows(spec, sets).sum(axis=1) / n
+                + c_cross(spec, sets, sets).sum(axis=(1, 2)) / (n * n))
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
         left -= r

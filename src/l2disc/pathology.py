@@ -237,9 +237,7 @@ def _constant_products(spec: KernelSpec) -> tuple[float, float, float]:
     measure, making E[D^2] = K + J/n exactly J/n."""
     ecuv = spec.ecuv_product()
     ecuu = spec.ecuu_product()
-    k = spec.a + ecuv
-    if spec.has_b_term:
-        k -= 2.0 * spec.eb_product()
+    k = spec.a + ecuv - 2.0 * spec.eb_product()
     return k, ecuu - ecuv, ecuu
 
 

@@ -64,6 +64,33 @@ class TestSquaredDiscrepancy:
             squared_discrepancy(spec, PointSet([[0.5, 0.5, 0.5]]))
 
 
+class TestArrayInputValidation:
+    # the raw-array paths used by the optimizers validate their input like
+    # PointSet does, instead of returning NaN or a number for a bad set
+    BAD = {
+        "nan": [[0.2, np.nan], [0.5, 0.5]],
+        "inf": [[0.2, np.inf], [0.5, 0.5]],
+        "below_zero": [[0.2, -1e-9], [0.5, 0.5]],
+        "above_one": [[0.2, 1.5], [0.5, 0.5]],
+        "one_dim": [0.2, 0.5],
+        "no_rows": np.empty((0, 2)),
+        "wrong_d": [[0.2, 0.5, 0.1]],
+    }
+
+    @pytest.mark.parametrize("fn", [squared_value, value_and_gradient],
+                             ids=["squared_value", "value_and_gradient"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejects_bad_coordinates(self, fn, case):
+        for tag in ("star", "per"):
+            with pytest.raises(ValidationError):
+                fn(_spec(tag, 2), np.asarray(self.BAD[case], dtype=np.float64))
+
+    def test_closed_cube_accepted(self):
+        coords = np.array([[0.0, 1.0], [1.0, 0.0]])
+        value, _ = value_and_gradient(_spec("star", 2), coords)
+        assert value == squared_value(_spec("star", 2), coords)
+
+
 class TestAsdByReflection:
     def test_single_center_point_d1(self):
         value = asd_by_reflection(PointSet([[0.5]])).value

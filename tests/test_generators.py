@@ -18,21 +18,17 @@ from l2disc import (
     sobol,
     squared_discrepancy,
 )
-from l2disc.evaluator import _b_products, _c_matrix
+from l2disc.kernels import b_rows, c_cross
 
 
 def _blocked_star_squared(coords: np.ndarray, block: int = 1024) -> float:
     """Star squared discrepancy with bounded memory for large n."""
     spec = kernel_spec("star", coords.shape[1])
     n = coords.shape[0]
-    acc = spec.a - 2.0 * float(_b_products(spec, coords).sum()) / n
+    acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
     pair = 0.0
     for lo in range(0, n, block):
-        rows = coords[lo : lo + block]
-        mat = np.ones((rows.shape[0], n))
-        for j in range(coords.shape[1]):
-            mat *= spec.c_col(rows[:, j][:, None], coords[:, j][None, :], j)
-        pair += float(mat.sum())
+        pair += float(c_cross(spec, coords[lo : lo + block], coords).sum())
     return acc + pair / (n * n)
 
 
@@ -201,11 +197,11 @@ class TestGrid:
         )
 
 
-def test_c_matrix_helper_matches_manual():
+def test_c_cross_helper_matches_manual():
     # sanity anchor for the blocked evaluation used in the large-n test above
     spec = kernel_spec("star", 2)
     pts = iid_uniform(6, 2, 107)
-    full = _c_matrix(spec, pts.coords)
+    full = c_cross(spec, pts.coords, pts.coords)
     blocked = _blocked_star_squared(pts.coords, block=2)
     direct = squared_discrepancy(spec, pts).value
     assert blocked == pytest.approx(direct, abs=1e-15)

@@ -24,11 +24,11 @@ ALL_SPECS = [kernel_spec(m, 2) for m in UNWEIGHTED] + [
 ]
 
 # Hand-integrated expectation constants (E[B], E[C(u,v)], E[C(u,u)]) for the
-# unweighted measures; None where the measure has no B term.
+# unweighted measures; per's B is identically zero.
 EXPECTED_CONSTANTS = {
     MeasureId.STAR: (1 / 3, 1 / 3, 1 / 2),
     MeasureId.EXT: (1 / 12, 1 / 12, 1 / 6),
-    MeasureId.PER: (None, 1 / 3, 1 / 2),
+    MeasureId.PER: (0.0, 1 / 3, 1 / 2),
     MeasureId.CTR: (1 / 12, 1 / 12, 1 / 4),
     MeasureId.CAD: (1 / 12, 1 / 12, 1 / 4),
     MeasureId.SYM: (1 / 12, 1 / 12, 1 / 4),
@@ -67,10 +67,7 @@ class TestFactorValues:
 class TestStructuralFlags:
     def test_per_has_no_b_term(self):
         spec = kernel_spec("per", 3)
-        assert not spec.has_b_term
-        assert spec.b_col is None
-        assert spec.eb is None
-        assert spec.eb_product() is None
+        assert spec.eb_product() == 0.0
 
     def test_cad_is_discontinuous(self):
         assert not kernel_spec("cad", 2).continuous
@@ -113,20 +110,14 @@ class TestExpectationConstants:
     def test_constants_match_hand_integration(self, measure):
         spec = kernel_spec(measure, 4)
         eb_ref, ecuv_ref, ecuu_ref = EXPECTED_CONSTANTS[measure]
-        if eb_ref is None:
-            assert spec.eb is None
-        else:
-            assert spec.eb == pytest.approx(eb_ref, abs=1e-14)
+        assert spec.eb == pytest.approx(eb_ref, abs=1e-14)
         assert spec.ec_uv == pytest.approx(ecuv_ref, abs=1e-14)
         assert spec.ec_uu == pytest.approx(ecuu_ref, abs=1e-14)
 
     def test_recomputation_matches_stored(self):
         for spec in ALL_SPECS:
             eb, ec_uv, ec_uu = expectation_constants(spec)
-            if spec.has_b_term:
-                np.testing.assert_allclose(eb, spec.eb, rtol=0, atol=1e-15)
-            else:
-                assert eb is None
+            np.testing.assert_allclose(eb, spec.eb, rtol=0, atol=1e-15)
             np.testing.assert_allclose(ec_uv, spec.ec_uv, rtol=0, atol=1e-15)
             np.testing.assert_allclose(ec_uu, spec.ec_uu, rtol=0, atol=1e-15)
 
@@ -142,9 +133,7 @@ class TestExpectationConstants:
     def test_zero_sum_identity(self, spec):
         # A - 2 prod E[B] + prod E[C(u,v)] vanishes for every measure: the
         # IID expectation has no n-free part, so n * E[D^2] is n-independent.
-        acc = spec.a + spec.ecuv_product()
-        if spec.has_b_term:
-            acc -= 2.0 * spec.eb_product()
+        acc = spec.a + spec.ecuv_product() - 2.0 * spec.eb_product()
         assert acc == pytest.approx(0.0, abs=1e-14)
 
 
@@ -167,9 +156,7 @@ class TestIidExpectationColumn:
             spec = kernel_spec(measure, d)
             for n in (1, 5):
                 expected_sq = spec.a + (1 - 1 / n) * spec.ecuv_product() \
-                    + spec.ecuu_product() / n
-                if spec.has_b_term:
-                    expected_sq -= 2.0 * spec.eb_product()
+                    + spec.ecuu_product() / n - 2.0 * spec.eb_product()
                 closed = self.CLOSED_FORMS[measure](d)
                 assert n * expected_sq == pytest.approx(closed, rel=1e-10)
 
@@ -193,11 +180,10 @@ class TestContinuityNearKinks:
     def test_factors_continuous_across_kinks(self, spec):
         eps = 1e-9
         # B across x = 1/2
-        if spec.has_b_term:
-            for j in range(spec.d):
-                lo = float(spec.b_col(0.5 - eps, j))
-                hi = float(spec.b_col(0.5 + eps, j))
-                assert abs(hi - lo) < 1e-6
+        for j in range(spec.d):
+            lo = float(spec.b_col(0.5 - eps, j))
+            hi = float(spec.b_col(0.5 + eps, j))
+            assert abs(hi - lo) < 1e-6
         # C across the diagonal x = z and across x = 1/2
         for j in range(spec.d):
             z = 0.37
