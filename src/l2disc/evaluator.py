@@ -1,16 +1,15 @@
 """Closed-form evaluation: values, gradients, and insertion contributions.
 
-All routines run in O(d n^2) time via vectorized pairwise kernel matrices.
-Accumulation order is fixed (constant A, minus the B sum, plus the C sum,
-with numpy's pairwise reductions over fixed shapes), so repeated runs are
-bit-identical.
+All routines run in O(d n^2) time.  Values multiply the per-coordinate
+factors into one (n, n) kernel matrix; the value and gradient come from one
+pass over the per-coordinate (n, n) factors with their leave-one-out
+products, in about (2d + 3) n^2 floats.  Accumulation order is fixed
+(squared_value: constant A, minus the B sum, plus the C sum;
+value_and_gradient: A plus the C sum, minus the B sum; numpy's pairwise
+reductions over fixed shapes), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
-from typing import Optional
 
 import numpy as np
 
@@ -89,32 +88,32 @@ def asd_by_reflection(points: PointSet) -> SquaredDiscrepancy:
         )
     star = kernel_spec(MeasureId.STAR, d)
     coords = points.coords
+    flipped = 1.0 - coords
     total = 0.0
     # subsets in fixed mask order for reproducibility; bit j set = coordinate
     # j+1 kept, cleared = reflected
     for mask in range(1 << d):
-        refl = np.empty_like(coords)
-        for j in range(d):
-            if (mask >> j) & 1:
-                refl[:, j] = coords[:, j]
-            else:
-                refl[:, j] = 1.0 - coords[:, j]
-        total += squared_value(star, refl)
+        keep = (mask >> np.arange(d)) & 1 == 1
+        total += squared_value(star, np.where(keep, coords, flipped))
     value = total / (1 << d)
     return SquaredDiscrepancy(MeasureId.ASD, value, points.n, points.d)
 
 
-def _prod_except(mat: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Products over one axis leaving each slot out, via prefix/suffix scans.
+def _leave_one_out(factors):
+    """Yield prod_{l != j} f_l for j = 0..d-1, with no division (safe at zeros).
 
-    Safe at exact zeros (no division), same shape as the input.
+    Each product is (f_0 ... f_{j-1}) * (f_{d-1} ... f_{j+1}): a running
+    prefix times a suffix built from the last factor down, each multiplied in
+    scan order: the association the pinned gradient bits were recorded with.
     """
-    mat = np.moveaxis(mat, axis, -1)
-    left = np.ones_like(mat)
-    right = np.ones_like(mat)
-    np.cumprod(mat[..., :-1], axis=-1, out=left[..., 1:])
-    np.cumprod(mat[..., :0:-1], axis=-1, out=right[..., -2::-1])
-    return np.moveaxis(left * right, -1, axis)
+    suffixes = [1.0]
+    for f in factors[:0:-1]:
+        suffixes.append(suffixes[-1] * f)
+    prefix = 1.0
+    for f in factors[:-1]:
+        yield prefix * suffixes.pop()
+        prefix = prefix * f
+    yield prefix
 
 
 def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
@@ -123,52 +122,43 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
     Defined for the continuous measures only.  On the measure-zero kink sets
     the subgradient conventions documented in the kernel module apply.
     """
-    _, grad = _value_and_gradient_arrays(spec, points.coords, want_value=False)
-    return grad
+    return value_and_gradient(spec, points.coords)[1]
 
 
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fused squared value and gradient sharing one kernel-matrix pass."""
-    value, grad = _value_and_gradient_arrays(spec, coords, want_value=True)
-    return value, grad
+    """Fused squared value and gradient from one leave-one-out pass.
 
-
-def _value_and_gradient_arrays(
-    spec: KernelSpec, coords: np.ndarray, want_value: bool
-) -> tuple[Optional[float], np.ndarray]:
+    The pass keeps the d per-coordinate (n, n) C factors, their d - 1
+    suffix products and a few (n, n) work arrays alive: about (2d + 3) n^2
+    floats.  The value costs one extra (n, n) product.
+    """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
             f"measure {spec.measure} has a discontinuous kernel; no gradient exists"
         )
     coords = _checked_coords(spec, coords)
     n, d = coords.shape
+    grad = np.empty((n, d))
 
-    # C part: tensor of per-coordinate factors, pair products excluding each
-    # coordinate, and the derivative in the first argument.
-    cten = np.empty((n, n, d))
-    dcten = np.empty((n, n, d))
-    for j in range(d):
+    # C part.  Every C factor is symmetric bit-for-bit, so each product
+    # E_j left out is too; the derivative is laid out (k, i) so that its
+    # axis-0 sum adds the rows k = 0..n-1 in order, the summation order of
+    # the pinned gradients.
+    cs = [spec.c_col(col[:, None], col[None, :], j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(_leave_one_out(cs)):
+        if j == 0:
+            value = spec.a + float((exc * cs[0]).sum()) / (n * n)
         col = coords[:, j]
-        cten[:, :, j] = spec.c_col(col[:, None], col[None, :], j)
-        dcten[:, :, j] = spec.c_dx_col(col[:, None], col[None, :], j)
-    cexc = _prod_except(cten, axis=2)
-    grad = (2.0 / (n * n)) * np.einsum("ikj,ikj->ij", dcten, cexc)
+        dct = spec.c_dx_col(col, col[:, None], j)
+        dct *= exc
+        grad[:, j] = dct.sum(axis=0)
+    grad *= 2.0 / (n * n)
 
-    value: Optional[float] = None
-    if want_value:
-        cfull = cexc[:, :, 0] * cten[:, :, 0]
-        value = spec.a + float(cfull.sum()) / (n * n)
-
-    bmat = np.empty((n, d))
-    dbmat = np.empty((n, d))
-    for j in range(d):
-        bmat[:, j] = spec.b_col(coords[:, j], j)
-        dbmat[:, j] = spec.b_prime_col(coords[:, j], j)
-    bexc = _prod_except(bmat, axis=1)
-    grad -= (2.0 / n) * dbmat * bexc
-    if want_value:
-        value -= 2.0 * float((bexc[:, 0] * bmat[:, 0]).sum()) / n
-
+    bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(_leave_one_out(bs)):
+        if j == 0:
+            value -= 2.0 * float((exc * bs[0]).sum()) / n
+        grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
     return value, grad
 
 

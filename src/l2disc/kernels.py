@@ -38,7 +38,6 @@ max/min contribute slope one-half.  With these choices the diagonal pair
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional

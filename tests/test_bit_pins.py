@@ -5,8 +5,9 @@ shared coordinate-product helpers, with numpy 2.4 on x86-64.  A change that
 claims to keep outputs bit-identical (a refactor, a faster evaluation path)
 must leave every pin unchanged.  The one exception is ``sym_weighted``,
 whose weighted B factor is now 1 + g_j * (x(1-x)/2) rather than
-1 + (g_j/2) x (1-x): its values are compared to within a few ulps of the
-cancelling O(1) terms, and its gradient is not pinned.
+1 + (g_j/2) x (1-x): its values at (N, D) are compared to within a few ulps
+of the cancelling O(1) terms.  Its gradient and the d = 2 cases (suffix
+``-d2``) were recorded later, on the weighted-transform code, and are exact.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ N, D, SEED = 37, 3, 20261017
 # pinned on a weight where the two roundings disagree
 GAMMA = (0.3, 1.7, 4.9)
 Y = (0.21, 0.47, 0.83)
+# the value+gradient shape the optimizer runs on: n = 16-64 at d = 2
+N2, D2 = 16, 2
 
 VALUE = {
     "star": "0x1.802386fb77f20p-10",
@@ -84,8 +87,17 @@ VG_VALUE = {
     "asd": "0x1.be6036686b7c0p-10",
     "ctr_weighted": "0x1.f6340c4411d00p-6",
     "sym_weighted": "0x1.eeba2c6231700p-6",
+    "asd-d2": "0x1.445d648528860p-8",
+    "ctr-d2": "0x1.a5adc3b121778p-9",
+    "ctr_weighted-d2": "0x1.ee5dc426a0c00p-7",
+    "ext-d2": "0x1.75465fc7af2f0p-11",
+    "mix-d2": "0x1.0c61054e95d00p-7",
+    "per-d2": "0x1.76cdd93dd6280p-8",
+    "star-d2": "0x1.3e3fc9766d400p-8",
+    "sym-d2": "0x1.075e7f4b0a3bcp-9",
+    "sym_weighted-d2": "0x1.da2e8a2669500p-7",
 }
-# sha256 of the C-ordered float64 bytes of the (N, D) gradient
+# sha256 of the C-ordered float64 bytes of the (n, d) gradient
 GRADIENT_SHA256 = {
     "star": "5c7b8eca1e2ec23ffdc2260728fe250d4f003a66c2c71bcb2d2485f34c72d589",
     "ext": "1862e0f32927c232cf33c7185bc5d3842eb1661d02b88d5d86efa4559c7be5d3",
@@ -95,6 +107,16 @@ GRADIENT_SHA256 = {
     "mix": "adfa9b4ede115e5705357a6cae6abd3d5f2bdc11de92b3d7a031235a6d7519e3",
     "asd": "1c8757ef59198d34abb5a78f8515d32541f46fc819f092e26298c060a4cc7698",
     "ctr_weighted": "59b7c3545a4d0e3ea55863f0b6b3e7ef4588e1e49a0ef1c57bcaea96d2b929ab",
+    "sym_weighted": "dac6f9b13260d523708dee0f84c7b7f7ef04d77bc6c193a288d459047690f023",
+    "asd-d2": "55c2aca52df5253732a6fada8ec0296c75778a4370971c954e7dd748d3535a92",
+    "ctr-d2": "fbdcee0bcafe517a06eadb4f13b15f2dc5437c2fc1bb4ec834a8584030623a2e",
+    "ctr_weighted-d2": "9da2bc2efa7933a7f4d7f4c028b108b8481cc4f53a4504f8d273fc48d4ebeb64",
+    "ext-d2": "c15d4145e1b2a407d742c267d6a0e7ff91169971fb58ccf4737762192e1ca78a",
+    "mix-d2": "40d96bd947dea131b759f441851e4d77bf67a5e750909b7c7f382c7708d56d50",
+    "per-d2": "8774d5df3ee31ee74256c70ec75ecebd8e8207228fe9d6635bf5a1482c9f5ca6",
+    "star-d2": "7d14e35e2d3044e9beb22a5d152e4d23c675d8f84b9315bf5620a2b464311310",
+    "sym-d2": "b6ae98e3206daa34b83656afb1cbda967f1138f76511d3728dfff543a19bd8ea",
+    "sym_weighted-d2": "93e8203ab1f854ee72a8adb79871675a9583801bce6fcc92cdd52c34fe2f0445",
 }
 GREEDY_FINAL = {
     "per": "0x1.e770e98607770p-9",
@@ -146,13 +168,18 @@ def test_expected_iid_squared(measure):
     _assert_pinned(measure, got, EXPECTED_IID[measure])
 
 
-@pytest.mark.parametrize("measure", sorted(VG_VALUE))
-def test_value_and_gradient(measure, points):
-    value, grad = value_and_gradient(_spec(measure), points.coords)
-    _assert_pinned(measure, float(value), VG_VALUE[measure])
-    if measure in GRADIENT_SHA256:
-        digest = hashlib.sha256(np.ascontiguousarray(grad).tobytes()).hexdigest()
-        assert digest == GRADIENT_SHA256[measure]
+@pytest.mark.parametrize("case", sorted(VG_VALUE))
+def test_value_and_gradient(case, points):
+    measure, _, small = case.partition("-")
+    if small:
+        spec, coords = _spec(measure, D2), iid_uniform(N2, D2, seed=SEED).coords
+    else:
+        spec, coords = _spec(measure), points.coords
+    value, grad = value_and_gradient(spec, coords)
+    # keyed by case, so only the (N, D) sym_weighted value gets the tolerance
+    _assert_pinned(case, float(value), VG_VALUE[case])
+    digest = hashlib.sha256(np.ascontiguousarray(grad).tobytes()).hexdigest()
+    assert digest == GRADIENT_SHA256[case]
 
 
 @pytest.mark.parametrize("measure", sorted(GREEDY_FINAL))

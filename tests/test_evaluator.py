@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,20 @@ class TestGradient:
                 dn[i, j] -= h
                 fd = (squared_value(spec, up) - squared_value(spec, dn)) / (2 * h)
                 assert abs(grad[i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_peak_memory_is_per_coordinate_factors(self):
+        # the leave-one-out pass keeps about 2d + 3 (n, n) arrays alive; a
+        # pass over (n, n, d) factor tensors and their scans needs ~5d and fails
+        n, d = 256, 8
+        spec = _spec("ctr", d)
+        coords = iid_uniform(n, d, seed=5).coords
+        tracemalloc.start()
+        try:
+            value_and_gradient(spec, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * d * n * n * 8
 
 
 class TestGreedyContribution:
