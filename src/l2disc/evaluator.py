@@ -2,14 +2,18 @@
 
 All routines run in O(d n^2) time.  Values multiply the per-coordinate
 factors into one (n, n) kernel matrix; the value and gradient come from one
-pass over the per-coordinate (n, n) factors with their leave-one-out
-products, in about (2d + 3) n^2 floats.  Accumulation order is fixed
-(squared_value: constant A, minus the B sum, plus the C sum;
-value_and_gradient: A plus the C sum, minus the B sum; numpy's pairwise
-reductions over fixed shapes), so repeated runs are bit-identical.
+pass over column tiles of T points of the per-coordinate (n, T) factors with
+their leave-one-out products, in about (2d + 3) n T floats.  T is a fixed
+function of (n, d).  Accumulation order is fixed (squared_value: constant A,
+minus the B sum, plus the C sum; value_and_gradient: A plus the math.fsum of
+the tile C sums, minus the B sum; numpy's pairwise reductions over fixed
+shapes), so repeated runs are bit-identical.  The two orders differ, so the
+two functions can disagree in the last bits of the value for the same points.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
 ]
 
 _ASD_REFLECTION_MAX_D = 20
+# floats in one (n, T) tile of value_and_gradient: T = max(2, this // (n d))
+_TILE_FLOATS = 1 << 19
 
 
 def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
@@ -53,9 +59,9 @@ def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     """Raw squared discrepancy of an (n, d) coordinate matrix.
 
-    This is the allocation-light array path used by the optimizers; the
+    It multiplies the factors into one full (n, n) kernel matrix.  The
     public wrapper `squared_discrepancy` adds type packaging and the
-    negative-value guard.
+    negative-value guard; the optimizers run on `value_and_gradient`.
     """
     coords = _checked_coords(spec, coords)
     n = coords.shape[0]
@@ -105,12 +111,18 @@ def _leave_one_out(factors):
     Each product is (f_0 ... f_{j-1}) * (f_{d-1} ... f_{j+1}): a running
     prefix times a suffix built from the last factor down, each multiplied in
     scan order: the association the pinned gradient bits were recorded with.
+    Empty prefixes and suffixes are left out instead of multiplied in as 1.0,
+    which changes no bit and saves two array products per call.
     """
-    suffixes = [1.0]
-    for f in factors[:0:-1]:
+    if len(factors) == 1:
+        yield 1.0
+        return
+    suffixes = [factors[-1]]
+    for f in factors[-2:0:-1]:
         suffixes.append(suffixes[-1] * f)
-    prefix = 1.0
-    for f in factors[:-1]:
+    yield suffixes.pop()
+    prefix = factors[0]
+    for f in factors[1:-1]:
         yield prefix * suffixes.pop()
         prefix = prefix * f
     yield prefix
@@ -128,9 +140,13 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
     """Fused squared value and gradient from one leave-one-out pass.
 
-    The pass keeps the d per-coordinate (n, n) C factors, their d - 1
-    suffix products and a few (n, n) work arrays alive: about (2d + 3) n^2
-    floats.  The value costs one extra (n, n) product.
+    The C part runs over column tiles of T = max(2, 2^19 // (n d)) points.
+    A tile keeps the d per-coordinate (n, T) C factors, their d - 1 suffix
+    products and a few (n, T) work arrays alive: about (2d + 3) n T floats.
+    Every gradient entry is summed over the rows k = 0..n-1 in order, so
+    the gradient does not depend on T.  The value's C sum is the math.fsum
+    of the tile sums (with one tile, that tile's sum); it can differ in its
+    last bits from `squared_value`, which sums in another order.
     """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
@@ -143,15 +159,23 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     # C part.  Every C factor is symmetric bit-for-bit, so each product
     # E_j left out is too; the derivative is laid out (k, i) so that its
     # axis-0 sum adds the rows k = 0..n-1 in order, the summation order of
-    # the pinned gradients.
-    cs = [spec.c_col(col[:, None], col[None, :], j) for j, col in enumerate(coords.T)]
-    for j, exc in enumerate(_leave_one_out(cs)):
-        if j == 0:
-            value = spec.a + float((exc * cs[0]).sum()) / (n * n)
-        col = coords[:, j]
-        dct = spec.c_dx_col(col, col[:, None], j)
-        dct *= exc
-        grad[:, j] = dct.sum(axis=0)
+    # the pinned gradients.  numpy sums an (n, 1) column pairwise instead,
+    # so a trailing tile of width 1 joins the tile before it.  rows[j] holds
+    # x_kj down the rows, cols[j] the tile's x_ij across the columns.
+    width = max(2, _TILE_FLOATS // (n * d))
+    rows = [col[:, None] for col in coords.T]
+    c_sums = []
+    for i0 in range(0, max(n - 1, 1), width):
+        i1 = n if i0 + width >= n - 1 else i0 + width
+        cols = coords[i0:i1].T
+        cs = [spec.c_col(rows[j], cols[j], j) for j in range(d)]
+        for j, exc in enumerate(_leave_one_out(cs)):
+            if j == 0:
+                c_sums.append(float((exc * cs[0]).sum()))
+            dct = spec.c_dx_col(cols[j], rows[j], j)
+            dct *= exc
+            grad[i0:i1, j] = dct.sum(axis=0)
+    value = spec.a + math.fsum(c_sums) / (n * n)
     grad *= 2.0 / (n * n)
 
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l2disc import (
     MeasureId,
@@ -23,8 +26,11 @@ from l2disc import (
     squared_value,
     value_and_gradient,
 )
+from l2disc import evaluator
+from l2disc.kernels import b_rows, c_cross
 
 CONTINUOUS_UNWEIGHTED = ["star", "ext", "per", "ctr", "sym", "mix", "asd"]
+CONTINUOUS = CONTINUOUS_UNWEIGHTED + ["ctr_weighted", "sym_weighted"]
 REFLECTION_INVARIANT = ["asd", "sym", "ctr", "per", "cad", "mix"]
 
 
@@ -240,6 +246,65 @@ class TestGradient:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * d * n * n * 8
+
+    def test_peak_memory_does_not_grow_with_n_squared(self):
+        # column tiles keep about (2d + 3) n T floats alive; one (n, n) pass
+        # over the same points peaks at 144 MiB
+        n, d = 1024, 8
+        spec = _spec("ctr", d)
+        coords = iid_uniform(n, d, seed=6).coords
+        tracemalloc.start()
+        try:
+            value_and_gradient(spec, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+
+def _untiled_gradient(spec, coords):
+    """The gradient from full (n, n) factors: one tile spanning every point."""
+    n, d = coords.shape
+    grad = np.empty((n, d))
+    cs = [spec.c_col(col[:, None], col[None, :], j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(evaluator._leave_one_out(cs)):
+        col = coords[:, j]
+        dct = spec.c_dx_col(col, col[:, None], j)
+        dct *= exc
+        grad[:, j] = dct.sum(axis=0)
+    grad *= 2.0 / (n * n)
+    bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(evaluator._leave_one_out(bs)):
+        grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
+    return grad
+
+
+class TestTiles:
+    # with 64 floats per tile, n * d > 32 gives tiles of width 2 and odd n a
+    # merged tail of width 3; the explicit examples make sure both occur
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tag=st.sampled_from(CONTINUOUS),
+        n=st.integers(1, 40),
+        d=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="star", n=7, d=5, seed=0)
+    @example(tag="ctr_weighted", n=40, d=1, seed=1)
+    @example(tag="mix", n=33, d=2, seed=2)
+    def test_tile_edges_are_invisible(self, tag, n, d, seed):
+        gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
+        spec = _spec(tag, d, gamma=gamma)
+        coords = iid_uniform(n, d, seed=seed).coords
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_TILE_FLOATS", 64)
+            value, grad = value_and_gradient(spec, coords)
+        assert np.array_equal(grad, _untiled_gradient(spec, coords))
+        sum_b = math.fsum(b_rows(spec, coords))
+        sum_c = math.fsum(c_cross(spec, coords, coords).ravel())
+        reference = math.fsum([spec.a, -2.0 * sum_b / n, sum_c / (n * n)])
+        terms = abs(spec.a) + 2.0 * abs(sum_b) / n + abs(sum_c) / (n * n)
+        assert abs(value - reference) <= 1e-13 * terms
 
 
 class TestGreedyContribution:
