@@ -33,7 +33,7 @@ from .core import (
     PointSet,
     ValidationError,
 )
-from .evaluator import squared_discrepancy, value_and_gradient
+from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
 from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
 
 __all__ = [
@@ -179,12 +179,20 @@ def _batch_objective(spec: KernelSpec, base: np.ndarray,
 
 def _slot_scores(spec: KernelSpec, base: np.ndarray, chosen: np.ndarray,
                  cands: np.ndarray, total: int) -> np.ndarray:
-    """Objective increment of each candidate as the next batch point."""
-    scores = -2.0 * total * b_rows(spec, cands)
-    scores = scores + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
-    if chosen.shape[0]:
-        scores = scores + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
-    return scores + c_diag(spec, cands)
+    """Objective increment of each candidate as the next batch point, scored in
+    chunks; a width-1 tail joins the chunk before it, as (n, 1) sums pairwise."""
+    k = cands.shape[0]
+    width = max(2, _SUM_BLOCK // base.shape[0])
+    scores = np.empty(k)
+    for k0 in range(0, max(k - 1, 1), width):
+        k1 = k if k0 + width >= k - 1 else k0 + width
+        chunk = cands[k0:k1]
+        part = -2.0 * total * b_rows(spec, chunk)
+        part = part + 2.0 * np.sum(c_cross(spec, base, chunk), axis=0)
+        if chosen.shape[0]:
+            part = part + 2.0 * np.sum(c_cross(spec, chosen, chunk), axis=0)
+        scores[k0:k1] = part + c_diag(spec, chunk)
+    return scores
 
 
 def _candidate_grid(d: int, k: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Closed-form evaluation: values, gradients, and insertion contributions.
 
-All routines run in O(d n^2) time.  Values multiply the per-coordinate
-factors into one (n, n) kernel matrix; the value and gradient come from one
-pass over column tiles of T points of the per-coordinate (n, T) factors with
-their leave-one-out products, in about (2d + 3) n T floats.  T is a fixed
-function of (n, d).  Accumulation order is fixed (squared_value: constant A,
-minus the B sum, plus the C sum; value_and_gradient: A plus the math.fsum of
-the tile C sums, minus the B sum; numpy's pairwise reductions over fixed
-shapes), so repeated runs are bit-identical.  The two orders differ, so the
-two functions can disagree in the last bits of the value for the same points.
+All routines run in O(d n^2) time.  Values sum the kernel matrix in blocks
+along numpy's pairwise tree (the bits of one sum); the value and gradient
+come from one pass over column tiles of T points of the per-coordinate
+(n, T) factors with their leave-one-out products, in about (2d + 3) n T
+floats.  T is a fixed function of (n, d).  Accumulation order is fixed
+(squared_value: constant A, minus the B sum, plus the C sum;
+value_and_gradient: A plus the math.fsum of the tile C sums, minus the B
+sum; numpy's pairwise reductions over fixed shapes), so repeated runs are
+bit-identical.  The two orders differ, so the two functions can disagree in
+the last bits of the value for the same points.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
 _ASD_REFLECTION_MAX_D = 20
 # floats in one (n, T) tile of value_and_gradient: T = max(2, this // (n d))
 _TILE_FLOATS = 1 << 19
+# B: floats per squared_value leaf and greedy chunk; >= 128, numpy's pairwise block
+_SUM_BLOCK = 1 << 14
 
 
 def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
@@ -59,15 +62,29 @@ def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     """Raw squared discrepancy of an (n, d) coordinate matrix.
 
-    It multiplies the factors into one full (n, n) kernel matrix.  The
-    public wrapper `squared_discrepancy` adds type packaging and the
-    negative-value guard; the optimizers run on `value_and_gradient`.
+    It sums the (n, n) kernel matrix in blocks along numpy's pairwise tree,
+    with the bits of the unblocked sum.  `squared_discrepancy` adds types and
+    the negative-value guard; the optimizers run on `value_and_gradient`.
     """
     coords = _checked_coords(spec, coords)
     n = coords.shape[0]
     acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
-    acc = acc + float(c_cross(spec, coords, coords).sum()) / (n * n)
+    acc = acc + float(_c_sum(spec, coords)) / (n * n)
     return acc
+
+
+def _c_sum(spec: KernelSpec, coords: np.ndarray, lo: int = 0, hi: int | None = None):
+    """Sum of c_cross(spec, coords, coords).ravel()[lo:hi] along numpy's pairwise
+    tree, in leaves of <= B floats that build only the rows they touch."""
+    n = coords.shape[0]
+    hi = n * n if hi is None else hi
+    if hi - lo > _SUM_BLOCK:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return _c_sum(spec, coords, lo, lo + half) + _c_sum(spec, coords, lo + half, hi)
+    r0 = lo // n
+    flat = c_cross(spec, coords[r0:-(-hi // n)], coords).ravel()
+    return flat[lo - r0 * n:hi - r0 * n].sum()
 
 
 def squared_discrepancy(spec: KernelSpec, points: PointSet) -> SquaredDiscrepancy:

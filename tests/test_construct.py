@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from l2disc import (
     sobol,
     squared_discrepancy,
 )
-from l2disc.construct import _candidate_grid
+from l2disc import construct
+from l2disc.construct import _candidate_grid, _slot_scores
+from l2disc.kernels import b_rows, c_cross, c_diag
 
 
 class TestConfigs:
@@ -222,3 +226,40 @@ class TestCrossEvaluate:
         sets = {"star": sobol(4, 2), "ext": sobol(4, 3)}
         with pytest.raises(ValidationError):
             cross_evaluate(sets, ["star", "ext"])
+
+
+class TestSlotScores:
+    # 31 candidates leave a width-1 tail at chunk widths 2 and 3; at these n
+    # numpy's pairwise sum of that (n, 1) column differs from the row-order
+    # sum, so every case fails if the tail is not merged
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("tag,n,d", [("star", 200, 2), ("sym", 150, 3), ("mix", 100, 1)])
+    def test_chunks_are_invisible(self, width, tag, n, d):
+        spec = kernel_spec(tag, d)
+        base = iid_uniform(n, d, seed=n + d).coords
+        chosen = iid_uniform(2, d, seed=1).coords
+        cands = iid_uniform(31, d, seed=2).coords
+        total = n + 3
+        # the unchunked scores: one (n, K) cross matrix, summed down its rows
+        reference = -2.0 * total * b_rows(spec, cands)
+        reference = reference + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
+        reference = reference + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
+        reference = reference + c_diag(spec, cands)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", width * n)
+            scores = _slot_scores(spec, base, chosen, cands, total)
+        assert np.array_equal(scores, reference)
+
+    def test_peak_memory_is_chunk_sized(self):
+        # the unchunked (64, 65^3) cross matrix and its temporaries peak at
+        # about 404 MiB
+        spec = kernel_spec("sym", 3)
+        base = iid_uniform(64, 3, seed=67).coords
+        cands = _candidate_grid(3, 65)
+        tracemalloc.start()
+        try:
+            _slot_scores(spec, base, np.empty((0, 3)), cands, 65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20

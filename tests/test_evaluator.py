@@ -307,6 +307,73 @@ class TestTiles:
         assert abs(value - reference) <= 1e-13 * terms
 
 
+def _unblocked_value(spec, coords):
+    """squared_value's expression over the full (n, n) kernel matrix."""
+    n = coords.shape[0]
+    acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
+    return acc + float(c_cross(spec, coords, coords).sum()) / (n * n)
+
+
+def _tree_sum(a, leaf):
+    """a.sum() recombined from slice sums along numpy's pairwise tree."""
+    if a.size <= leaf:
+        return a.sum()
+    half = a.size // 2
+    half -= half % 8
+    return _tree_sum(a[:half], leaf) + _tree_sum(a[half:], leaf)
+
+
+class TestBlockedValue:
+    # with 128 floats per leaf, most leaves start or end inside a row
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tag=st.sampled_from([m.value for m in MeasureId]),
+        n=st.integers(1, 80),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="cad", n=80, d=3, seed=0)
+    @example(tag="sym_weighted", n=12, d=5, seed=1)
+    def test_leaf_edges_are_invisible(self, tag, n, d, seed):
+        gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
+        spec = _spec(tag, d, gamma=gamma)
+        coords = iid_uniform(n, d, seed=seed).coords
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_SUM_BLOCK", 128)
+            value = squared_value(spec, coords)
+        assert value == _unblocked_value(spec, coords)
+
+    @pytest.mark.parametrize("tag,n,d", [("star", 300, 3), ("mix", 1025, 2), ("ctr", 1025, 5)])
+    def test_real_block_is_bit_identical(self, tag, n, d):
+        spec = _spec(tag, d)
+        coords = iid_uniform(n, d, seed=n + d).coords
+        assert squared_value(spec, coords) == _unblocked_value(spec, coords)
+
+    def test_peak_memory_does_not_grow_with_n_squared(self):
+        # leaves keep a few rows of the kernel matrix alive; the full
+        # (n, n) matrix and its factor temporaries peak at 128 MiB here
+        spec = _spec("ctr", 4)
+        coords = iid_uniform(2048, 4, seed=7).coords
+        tracemalloc.start()
+        try:
+            squared_value(spec, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("length", [129, 1000, 4099, 2**20 + 5])
+    def test_numpy_sums_along_the_assumed_tree(self, length):
+        # squared_value's blocked C sum is bit-identical to the unblocked one
+        # only if ndarray.sum() splits as `half = size // 2; half -= half % 8`
+        a = np.random.default_rng(length).standard_normal(length)
+        for leaf in (128, evaluator._SUM_BLOCK):
+            assert _tree_sum(a, leaf) == a.sum(), (
+                f"numpy {np.__version__} no longer sums along the pairwise "
+                f"tree squared_value's bit-identity depends on (leaf {leaf})"
+            )
+
+
 class TestGreedyContribution:
     def test_star_hand_value(self):
         f = greedy_contribution(_spec("star", 1), PointSet([[0.5]]), [0.25])

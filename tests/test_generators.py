@@ -50,7 +50,7 @@ class TestIidUniform:
 
     def test_star_discrepancy_sanity(self):
         pts = iid_uniform(10_000, 2, seed=103)
-        value = _blocked_star_squared(pts.coords)
+        value = squared_discrepancy(kernel_spec("star", 2), pts).value
         expected = (2.0**-2 - 3.0**-2) / 10_000
         assert expected / 10 < value < expected * 10
 
@@ -198,7 +198,7 @@ class TestGrid:
 
 
 def test_c_cross_helper_matches_manual():
-    # sanity anchor for the blocked evaluation used in the large-n test above
+    # sanity anchor for the row-blocked test-side evaluation
     spec = kernel_spec("star", 2)
     pts = iid_uniform(6, 2, 107)
     full = c_cross(spec, pts.coords, pts.coords)
