@@ -44,6 +44,7 @@ from .core import (
     NumericGuardError,
     PointSet,
     ValidationError,
+    check_seed,
 )
 from .construct import (
     GreedyConfig,
@@ -213,13 +214,13 @@ def _csv_cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_gamma(text: Optional[str]):
+def _parse_floats(flag: str, text: Optional[str]):
     if text is None:
         return None
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(f"--gamma expects a comma list of numbers, "
+        raise ValidationError(f"{flag} expects a comma list of numbers, "
                               f"got {text!r}") from None
 
 
@@ -266,7 +267,7 @@ def _cmd_gen(args) -> int:
     elif kind == "point":
         if args.point is None or args.n is None:
             raise ValidationError("gen point needs --point and --n")
-        coords = _parse_gamma(args.point)
+        coords = _parse_floats("--point", args.point)
         points = replicated_point(coords, args.n)
     elif kind == "fib":
         if args.n is None:
@@ -288,7 +289,7 @@ def _cmd_gen(args) -> int:
 def _cmd_disc(args) -> int:
     started = time.perf_counter()
     points = read_points(args.in_path)
-    gamma = _parse_gamma(args.gamma)
+    gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
     result = squared_discrepancy(spec, points)
     record = _record("disc", measure=args.measure, n=points.n, d=points.d,
@@ -339,7 +340,7 @@ def _cmd_pathology(args) -> int:
 def _cmd_greedy(args) -> int:
     started = time.perf_counter()
     points = read_points(args.in_path)
-    gamma = _parse_gamma(args.gamma)
+    gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
     cfg = GreedyConfig(batch=args.batch, grid_k=args.grid_k)
     final, trace = greedy_extend(spec, points, args.steps, cfg)
@@ -369,7 +370,7 @@ def _write_trace(path: str, trace) -> None:
 def _cmd_optimize(args) -> int:
     started = time.perf_counter()
     init = _load_input_set(args)
-    gamma = _parse_gamma(args.gamma)
+    gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, init.d, gamma)
     cfg = OptimizerConfig(restarts=args.restarts, iterations=args.iters,
                           seed=args.seed)
@@ -648,6 +649,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_disc_threads()
+        # before any output, also where the subcommand never draws from it
+        check_seed(getattr(args, "seed", 0))
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from .core import (
     NonDifferentiableMeasureError,
     PointSet,
     ValidationError,
+    check_seed,
 )
 from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
 from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
@@ -133,6 +134,7 @@ class OptimizerConfig:
             raise ValidationError("tolerance must be positive")
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,13 @@ def check_unit_cube(arr: np.ndarray) -> None:
     )
 
 
+def check_seed(seed) -> int:
+    """seed as an int; ValidationError unless it is a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered multiset of ``n`` points in the closed unit cube [0,1]^d.

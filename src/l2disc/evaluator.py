@@ -1,15 +1,13 @@
 """Closed-form evaluation: values, gradients, and insertion contributions.
 
-All routines run in O(d n^2) time.  Values sum the kernel matrix in blocks
-along numpy's pairwise tree (the bits of one sum); the value and gradient
-come from one pass over column tiles of T points of the per-coordinate
-(n, T) factors with their leave-one-out products, in about (2d + 3) n T
-floats.  T is a fixed function of (n, d).  Accumulation order is fixed
-(squared_value: constant A, minus the B sum, plus the C sum;
-value_and_gradient: A plus the math.fsum of the tile C sums, minus the B
-sum; numpy's pairwise reductions over fixed shapes), so repeated runs are
-bit-identical.  The two orders differ, so the two functions can disagree in
-the last bits of the value for the same points.
+All routines run in O(d n^2) time under one summation rule: numpy sums each
+point's kernel row sum_k C(x_i, x_k) as one contiguous length-n row, and
+the value is A - 2 sum B / n + fsum(row sums) / n^2 with math.fsum, the
+exactly rounded sum.  So values and gradients do not depend on how many rows
+a block or tile holds, and `squared_value` equals the value returned by
+`value_and_gradient` bit for bit.  The value and gradient come from one
+pass over row tiles of the per-coordinate (T, n) factors with their
+leave-one-out products, in about (2d + 3) n T floats.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ __all__ = [
 ]
 
 _ASD_REFLECTION_MAX_D = 20
-# floats in one (n, T) tile of value_and_gradient: T = max(2, this // (n d))
+# floats in one (T, n) tile of value_and_gradient: T = max(1, this // (n d))
 _TILE_FLOATS = 1 << 19
-# B: floats per squared_value leaf and greedy chunk; >= 128, numpy's pairwise block
+# floats per squared_value row block and greedy chunk
 _SUM_BLOCK = 1 << 14
 
 
@@ -62,29 +60,23 @@ def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     """Raw squared discrepancy of an (n, d) coordinate matrix.
 
-    It sums the (n, n) kernel matrix in blocks along numpy's pairwise tree,
-    with the bits of the unblocked sum.  `squared_discrepancy` adds types and
-    the negative-value guard; the optimizers run on `value_and_gradient`.
+    It builds the kernel matrix in blocks of whole rows, so only a few rows
+    are alive at once.  `squared_discrepancy` adds types and the
+    negative-value guard; the optimizers run on `value_and_gradient`.
     """
     coords = _checked_coords(spec, coords)
     n = coords.shape[0]
-    acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
-    acc = acc + float(_c_sum(spec, coords)) / (n * n)
-    return acc
+    step = max(1, _SUM_BLOCK // n)
+    row_sums = np.empty(n)
+    for i0 in range(0, n, step):
+        c_cross(spec, coords[i0:i0 + step], coords).sum(axis=1, out=row_sums[i0:i0 + step])
+    return _combine(spec, n, b_rows(spec, coords).sum(), row_sums)
 
 
-def _c_sum(spec: KernelSpec, coords: np.ndarray, lo: int = 0, hi: int | None = None):
-    """Sum of c_cross(spec, coords, coords).ravel()[lo:hi] along numpy's pairwise
-    tree, in leaves of <= B floats that build only the rows they touch."""
-    n = coords.shape[0]
-    hi = n * n if hi is None else hi
-    if hi - lo > _SUM_BLOCK:
-        half = (hi - lo) // 2
-        half -= half % 8
-        return _c_sum(spec, coords, lo, lo + half) + _c_sum(spec, coords, lo + half, hi)
-    r0 = lo // n
-    flat = c_cross(spec, coords[r0:-(-hi // n)], coords).ravel()
-    return flat[lo - r0 * n:hi - r0 * n].sum()
+def _combine(spec: KernelSpec, n: int, b_sum, row_sums: np.ndarray) -> float:
+    """A - 2 b_sum / n + (exactly rounded sum of the kernel row sums) / n^2."""
+    c_sum = math.fsum(row_sums.data)
+    return spec.a - 2.0 * float(b_sum) / n + c_sum / (n * n)
 
 
 def squared_discrepancy(spec: KernelSpec, points: PointSet) -> SquaredDiscrepancy:
@@ -127,7 +119,8 @@ def _leave_one_out(factors):
 
     Each product is (f_0 ... f_{j-1}) * (f_{d-1} ... f_{j+1}): a running
     prefix times a suffix built from the last factor down, each multiplied in
-    scan order: the association the pinned gradient bits were recorded with.
+    scan order; the last one, f_0 ... f_{d-2}, is the kernels module's
+    coordinate product up to j = d - 2.
     Empty prefixes and suffixes are left out instead of multiplied in as 1.0,
     which changes no bit and saves two array products per call.
     """
@@ -157,13 +150,10 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
     """Fused squared value and gradient from one leave-one-out pass.
 
-    The C part runs over column tiles of T = max(2, 2^19 // (n d)) points.
-    A tile keeps the d per-coordinate (n, T) C factors, their d - 1 suffix
-    products and a few (n, T) work arrays alive: about (2d + 3) n T floats.
-    Every gradient entry is summed over the rows k = 0..n-1 in order, so
-    the gradient does not depend on T.  The value's C sum is the math.fsum
-    of the tile sums (with one tile, that tile's sum); it can differ in its
-    last bits from `squared_value`, which sums in another order.
+    The C part runs over row tiles of T = max(1, 2^19 // (n d)) points.
+    A tile keeps the d per-coordinate (T, n) C factors, their d - 1 suffix
+    products and a few (T, n) work arrays alive: about (2d + 3) n T floats.
+    Every row is summed whole, so neither value nor gradient depends on T.
     """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
@@ -173,34 +163,28 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     n, d = coords.shape
     grad = np.empty((n, d))
 
-    # C part.  Every C factor is symmetric bit-for-bit, so each product
-    # E_j left out is too; the derivative is laid out (k, i) so that its
-    # axis-0 sum adds the rows k = 0..n-1 in order, the summation order of
-    # the pinned gradients.  numpy sums an (n, 1) column pairwise instead,
-    # so a trailing tile of width 1 joins the tile before it.  rows[j] holds
-    # x_kj down the rows, cols[j] the tile's x_ij across the columns.
-    width = max(2, _TILE_FLOATS // (n * d))
-    rows = [col[:, None] for col in coords.T]
-    c_sums = []
-    for i0 in range(0, max(n - 1, 1), width):
-        i1 = n if i0 + width >= n - 1 else i0 + width
-        cols = coords[i0:i1].T
-        cs = [spec.c_col(rows[j], cols[j], j) for j in range(d)]
+    # the factors are laid out [i, k] = C_j(x_ij, x_kj), as in c_cross, and
+    # the product left out at j = d - 1 is the prefix chain f_0 ... f_{d-2},
+    # so exc * cs[-1] and exc * bs[-1] have the bits of c_cross and b_rows;
+    # right[j] is a contiguous copy of column j, which numpy's broadcast
+    # (T, 1) x (1, n) loops run faster on than on a strided view
+    step = max(1, _TILE_FLOATS // (n * d))
+    right = np.ascontiguousarray(coords.T)[:, None, :]
+    row_sums = np.empty(n)
+    for i0 in range(0, n, step):
+        left = coords[i0:i0 + step].T[:, :, None]
+        cs = [spec.c_col(left[j], right[j], j) for j in range(d)]
         for j, exc in enumerate(_leave_one_out(cs)):
-            if j == 0:
-                c_sums.append(float((exc * cs[0]).sum()))
-            dct = spec.c_dx_col(cols[j], rows[j], j)
+            dct = spec.c_dx_col(left[j], right[j], j)
             dct *= exc
-            grad[i0:i1, j] = dct.sum(axis=0)
-    value = spec.a + math.fsum(c_sums) / (n * n)
+            dct.sum(axis=1, out=grad[i0:i0 + step, j])
+        (exc * cs[-1]).sum(axis=1, out=row_sums[i0:i0 + step])
     grad *= 2.0 / (n * n)
 
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(_leave_one_out(bs)):
-        if j == 0:
-            value -= 2.0 * float((exc * bs[0]).sum()) / n
         grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
-    return value, grad
+    return _combine(spec, n, (exc * bs[-1]).sum(), row_sums), grad
 
 
 def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PointSet, ValidationError
+from .core import PointSet, ValidationError, check_seed
 
 __all__ = [
     "DirectionNumbers",
@@ -187,7 +187,7 @@ def iid_uniform(n: int, d: int, seed: int) -> PointSet:
     n, d = int(n), int(d)
     if n < 1 or d < 1:
         raise ValidationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    gen = np.random.Generator(np.random.Philox(seed))
+    gen = np.random.Generator(np.random.Philox(check_seed(seed)))
     return PointSet(gen.random((n, d)))
 
 

@@ -48,6 +48,7 @@ from .core import (
     NoGeometricOracleError,
     PointSet,
     ValidationError,
+    check_seed,
 )
 from .kernels import b_rows, c_cross, kernel_spec
 
@@ -154,6 +155,11 @@ def _region_inside_volume(
     return inside, volume, weight
 
 
+def _outside_cube(arr) -> bool:
+    # the comparisons are False for NaN, so a NaN coordinate is outside
+    return not np.all((arr >= 0.0) & (arr <= 1.0))
+
+
 def box_membership(measure: "MeasureId | str", x, a, b=None):
     """Membership of a single point in one test region, with its volume.
 
@@ -168,13 +174,13 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
     aa = np.asarray(a, dtype=np.float64).reshape(1, -1)
     if xa.shape != aa.shape:
         raise ValidationError("point and anchor must share a dimension count")
-    if np.any(xa < 0) or np.any(xa > 1) or np.any(aa < 0) or np.any(aa > 1):
-        raise ValidationError("point and anchors must lie in [0, 1]^d")
+    if _outside_cube(xa) or _outside_cube(aa):
+        raise ValidationError("point and anchors must be finite and lie in [0, 1]^d")
     if measure in _NEEDS_SECOND_ANCHOR:
         if b is None:
             raise ValidationError(f"measure {measure} needs a second anchor b")
         ba = np.asarray(b, dtype=np.float64).reshape(1, -1)
-        if ba.shape != aa.shape or np.any(ba < 0) or np.any(ba > 1):
+        if ba.shape != aa.shape or _outside_cube(ba):
             raise ValidationError("second anchor must lie in [0, 1]^d and match d")
     else:
         if b is not None:
@@ -207,6 +213,7 @@ def mc_squared_discrepancy(
     samples = int(samples)
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
+    seed = check_seed(seed)
     coords = points.coords
     d = points.d
     n = points.n
@@ -232,7 +239,7 @@ def mc_squared_discrepancy(
         left -= m
     mean = s1 / samples
     var = max(s2 - samples * mean * mean, 0.0) / (samples - 1)
-    return OracleEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples, seed=int(seed))
+    return OracleEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples, seed=seed)
 
 
 def mc_expected_iid(
@@ -256,6 +263,7 @@ def mc_expected_iid(
         raise ValidationError(f"n must be >= 1, got {n}")
     if replications < 2:
         raise ValidationError(f"replications must be >= 2, got {replications}")
+    seed = check_seed(seed)
     gen = np.random.Generator(np.random.Philox(seed))
 
     # keep chunk * n * n floats bounded; fixed policy so streams reproduce
@@ -277,7 +285,7 @@ def mc_expected_iid(
         mean=mean,
         stderr=math.sqrt(var / replications),
         samples=replications,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -231,51 +231,43 @@ def single_point_value(measure, d: int, anchor, *, gamma=None) -> float:
     return squared_discrepancy(spec, PointSet(p)).value
 
 
-def _constant_products(spec: KernelSpec) -> tuple[float, float, float]:
-    """(K, J, ECuu-product) with K = A - 2*prod(EB) + prod(ECuv) and
-    J = prod(ECuu) - prod(ECuv); K vanishes analytically for every
-    measure, making E[D^2] = K + J/n exactly J/n."""
-    ecuv = spec.ecuv_product()
-    ecuu = spec.ecuu_product()
-    k = spec.a + ecuv - 2.0 * spec.eb_product()
-    return k, ecuu - ecuv, ecuu
+def _constant_products(spec: KernelSpec) -> float:
+    """J = prod(ECuu) - prod(ECuv), so that E[D^2] = J/n exactly: the
+    constant A - 2*prod(EB) + prod(ECuv) vanishes analytically for every
+    measure and is left out rather than added as a rounding residue."""
+    return spec.ecuu_product() - spec.ecuv_product()
 
 
 def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
     """E[D^2] for n IID uniform points, from the stored constants."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    spec = _spec_for(measure, d, gamma)
-    k, j, _ = _constant_products(spec)
-    return k + j / n
+    return _constant_products(_spec_for(measure, d, gamma)) / n
 
 
 def iid_threshold(measure, d: int, *, gamma=None) -> float:
     """Real t such that n IID points beat the replicated anchor iff n > t.
 
-    E[D^2] is affine in 1/n, so the crossover is
-    (prod ECuu - prod ECuv) / (single - K) with
-    K = A - 2 prod EB + prod ECuv (analytically zero).  Returns +inf if
-    the replicated anchor is never beaten (does not occur here).
+    E[D^2] = (prod ECuu - prod ECuv) / n, so the crossover is that
+    numerator over the replicated anchor's value.  Returns +inf if the
+    replicated anchor is never beaten (does not occur here).
     """
     measure = MeasureId.parse(measure)
-    spec = _spec_for(measure, d, gamma)
-    k, j, _ = _constant_products(spec)
+    j = _constant_products(_spec_for(measure, d, gamma))
     single = single_point_value(measure, d, anchor_point(measure, d),
                                 gamma=gamma)
-    denom = single - k
-    if denom <= 0.0:
+    if single <= 0.0:
         return math.inf
-    return j / denom
+    return j / single
 
 
 @lru_cache(maxsize=None)
-def _asd_comparison_constants(d: int) -> tuple[float, float, float]:
-    """(K, J, single-at-center) for the averaged-reflection measure."""
-    k, j, _ = _constant_products(_unweighted_spec(MeasureId.ASD, d))
+def _asd_comparison_constants(d: int) -> tuple[float, float]:
+    """(J, single-at-center) for the averaged-reflection measure."""
+    j = _constant_products(_unweighted_spec(MeasureId.ASD, d))
     single = single_point_value(
         MeasureId.ASD, d, anchor_point(MeasureId.ASD, d))
-    return k, j, single
+    return j, single
 
 
 def check_asd_superiority(d: int, n: int) -> bool:
@@ -287,8 +279,8 @@ def check_asd_superiority(d: int, n: int) -> bool:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    k, j, single = _asd_comparison_constants(d)
-    return k + j / n < single
+    j, single = _asd_comparison_constants(d)
+    return j / n < single
 
 
 def _flag(computed: float, reference: Optional[float]) -> str:

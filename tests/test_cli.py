@@ -215,6 +215,26 @@ class TestExitCodes:
              "--in", src]
         ) == 2
 
+    def test_bad_point_names_its_flag(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["gen", "point", "--point", "abc", "--n", 2, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --point expects a comma list")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "iid", "--n", 3, "--d", 2, "--seed", -1],
+        ["optimize", "--measure", "star", "--n", 3, "--d", 2, "--iters", 5,
+         "--seed", -2],
+        ["tables", "--which", "table1", "--seed", -3],
+    ])
+    def test_negative_seed_is_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a nonnegative integer")
+        assert not out.exists()
+
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 149))

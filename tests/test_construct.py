@@ -52,6 +52,9 @@ class TestConfigs:
             OptimizerConfig(projection="wrap")
         with pytest.raises(ValidationError):
             OptimizerConfig(tolerance=0.0)
+        for seed in (-1, 0.5, None):
+            with pytest.raises(ValidationError, match="seed"):
+                OptimizerConfig(seed=seed)
 
 
 class TestGreedyExtend:
@@ -177,6 +180,18 @@ class TestOptimize:
         fresh = squared_discrepancy(spec, final).value
         assert trace.final_value == fresh
         assert 0 <= trace.winner_restart < 2
+
+    @pytest.mark.parametrize("tag", ["star", "ctr", "mix"])
+    def test_trace_minimum_is_the_reverified_value(self, tag):
+        # the trace values and the fresh re-verification follow one
+        # summation rule, so the winner's best iterate re-verifies exactly
+        spec = kernel_spec(tag, 2)
+        _, trace = optimize(
+            spec,
+            iid_uniform(24, 2, 7),
+            OptimizerConfig(restarts=2, iterations=300, seed=7),
+        )
+        assert min(trace.values) == trace.final_value
 
     def test_deterministic_bit_for_bit(self):
         spec = kernel_spec("sym", 2)

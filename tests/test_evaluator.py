@@ -269,9 +269,9 @@ def _untiled_gradient(spec, coords):
     cs = [spec.c_col(col[:, None], col[None, :], j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(evaluator._leave_one_out(cs)):
         col = coords[:, j]
-        dct = spec.c_dx_col(col, col[:, None], j)
+        dct = spec.c_dx_col(col[:, None], col, j)
         dct *= exc
-        grad[:, j] = dct.sum(axis=0)
+        grad[:, j] = dct.sum(axis=1)
     grad *= 2.0 / (n * n)
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(evaluator._leave_one_out(bs)):
@@ -279,9 +279,16 @@ def _untiled_gradient(spec, coords):
     return grad
 
 
+def _unblocked_value(spec, coords):
+    """The value from the full (n, n) kernel matrix and its numpy row sums."""
+    n = coords.shape[0]
+    row_sums = c_cross(spec, coords, coords).sum(axis=1)
+    c_sum = math.fsum(row_sums.tolist())
+    return spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n + c_sum / (n * n)
+
+
 class TestTiles:
-    # with 64 floats per tile, n * d > 32 gives tiles of width 2 and odd n a
-    # merged tail of width 3; the explicit examples make sure both occur
+    # with 64 floats per tile, n * d > 32 gives tiles of one or a few rows
     @settings(max_examples=30, deadline=None)
     @given(
         tag=st.sampled_from(CONTINUOUS),
@@ -300,31 +307,31 @@ class TestTiles:
             mp.setattr(evaluator, "_TILE_FLOATS", 64)
             value, grad = value_and_gradient(spec, coords)
         assert np.array_equal(grad, _untiled_gradient(spec, coords))
-        sum_b = math.fsum(b_rows(spec, coords))
-        sum_c = math.fsum(c_cross(spec, coords, coords).ravel())
-        reference = math.fsum([spec.a, -2.0 * sum_b / n, sum_c / (n * n)])
-        terms = abs(spec.a) + 2.0 * abs(sum_b) / n + abs(sum_c) / (n * n)
-        assert abs(value - reference) <= 1e-13 * terms
+        assert value == squared_value(spec, coords)
 
-
-def _unblocked_value(spec, coords):
-    """squared_value's expression over the full (n, n) kernel matrix."""
-    n = coords.shape[0]
-    acc = spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
-    return acc + float(c_cross(spec, coords, coords).sum()) / (n * n)
-
-
-def _tree_sum(a, leaf):
-    """a.sum() recombined from slice sums along numpy's pairwise tree."""
-    if a.size <= leaf:
-        return a.sum()
-    half = a.size // 2
-    half -= half % 8
-    return _tree_sum(a[:half], leaf) + _tree_sum(a[half:], leaf)
+    def test_gradient_matches_fsum_reference(self):
+        # each entry is a sum over n = 2048 points; numpy's pairwise row sums
+        # keep it within 1e-13 of max|grad|, where a sum in point order is not
+        n, d = 2048, 2
+        spec = _spec("star", d)
+        coords = iid_uniform(n, d, seed=2048).coords
+        grad = value_and_gradient(spec, coords)[1]
+        reference = np.empty((n, d))
+        for i, x in enumerate(coords):
+            cs = [spec.c_col(x[j], coords[:, j], j) for j in range(d)]
+            bs = [spec.b_col(x[j], j) for j in range(d)]
+            for j in range(d):
+                others = np.prod(cs[:j] + cs[j + 1:], axis=0)
+                c_terms = spec.c_dx_col(x[j], coords[:, j], j) * others
+                b_term = spec.b_prime_col(x[j], j) * np.prod(bs[:j] + bs[j + 1:])
+                reference[i, j] = 2.0 * math.fsum(c_terms.tolist()) / (n * n) - 2.0 * b_term / n
+        assert np.max(np.abs(grad - reference)) <= 1e-13 * np.max(np.abs(grad))
 
 
 class TestBlockedValue:
-    # with 128 floats per leaf, most leaves start or end inside a row
+    # with 37 floats per block and 64 per tile, blocks and tiles hold one or
+    # a few rows; neither value nor gradient may change, and both functions
+    # return the same value
     @settings(max_examples=30, deadline=None)
     @given(
         tag=st.sampled_from([m.value for m in MeasureId]),
@@ -339,18 +346,27 @@ class TestBlockedValue:
         spec = _spec(tag, d, gamma=gamma)
         coords = iid_uniform(n, d, seed=seed).coords
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluator, "_SUM_BLOCK", 128)
+            mp.setattr(evaluator, "_SUM_BLOCK", 37)
+            mp.setattr(evaluator, "_TILE_FLOATS", 64)
             value = squared_value(spec, coords)
+            pair = value_and_gradient(spec, coords) if spec.continuous else None
         assert value == _unblocked_value(spec, coords)
+        if pair is not None:
+            assert pair[0] == value
+            assert np.array_equal(pair[1], _untiled_gradient(spec, coords))
 
     @pytest.mark.parametrize("tag,n,d", [("star", 300, 3), ("mix", 1025, 2), ("ctr", 1025, 5)])
     def test_real_block_is_bit_identical(self, tag, n, d):
+        # rows longer than numpy's 128-float pairwise block, summed in blocks
+        # and tiles of the real sizes
         spec = _spec(tag, d)
         coords = iid_uniform(n, d, seed=n + d).coords
-        assert squared_value(spec, coords) == _unblocked_value(spec, coords)
+        value = squared_value(spec, coords)
+        assert value == _unblocked_value(spec, coords)
+        assert value == value_and_gradient(spec, coords)[0]
 
     def test_peak_memory_does_not_grow_with_n_squared(self):
-        # leaves keep a few rows of the kernel matrix alive; the full
+        # blocks keep a few rows of the kernel matrix alive; the full
         # (n, n) matrix and its factor temporaries peak at 128 MiB here
         spec = _spec("ctr", 4)
         coords = iid_uniform(2048, 4, seed=7).coords
@@ -361,17 +377,6 @@ class TestBlockedValue:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
-
-    @pytest.mark.parametrize("length", [129, 1000, 4099, 2**20 + 5])
-    def test_numpy_sums_along_the_assumed_tree(self, length):
-        # squared_value's blocked C sum is bit-identical to the unblocked one
-        # only if ndarray.sum() splits as `half = size // 2; half -= half % 8`
-        a = np.random.default_rng(length).standard_normal(length)
-        for leaf in (128, evaluator._SUM_BLOCK):
-            assert _tree_sum(a, leaf) == a.sum(), (
-                f"numpy {np.__version__} no longer sums along the pairwise "
-                f"tree squared_value's bit-identity depends on (leaf {leaf})"
-            )
 
 
 class TestGreedyContribution:

@@ -58,6 +58,11 @@ class TestIidUniform:
         with pytest.raises(ValidationError):
             iid_uniform(0, 2, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            iid_uniform(3, 2, seed=seed)
+
 
 class TestSobol:
     def test_first_four_points_d2(self):

@@ -86,6 +86,16 @@ class TestBoxMembership:
         with pytest.raises(NoGeometricOracleError):
             box_membership("mix", [0.5], [0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("measure,slot", [
+        ("star", 0), ("star", 1), ("ext", 0), ("ext", 1), ("ext", 2), ("sym", 1),
+    ])
+    def test_rejects_non_finite(self, measure, slot, bad):
+        args = [[0.5, 0.5], [0.2, 0.3], [0.8, 0.9]][:3 if measure == "ext" else 2]
+        args[slot] = [0.4, bad]
+        with pytest.raises(ValidationError, match="lie in"):
+            box_membership(measure, *args)
+
 
 class TestSymVolumeIdentity:
     def test_shortcut_equals_vertex_summation(self):
@@ -140,6 +150,13 @@ class TestMcSquaredDiscrepancy:
             mc_squared_discrepancy("mix", PointSet([[0.5, 0.5]]), 1000, seed=0)
         with pytest.raises(ValidationError):
             mc_squared_discrepancy("star", PointSet([[0.5]]), 1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            mc_squared_discrepancy("star", PointSet([[0.5]]), 100, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            mc_expected_iid("star", 3, 2, 10, seed=seed)
 
 
 class TestMcExpectedIid:

@@ -91,6 +91,13 @@ class TestExpectedIidSquared:
                 base, rel=1e-12
             )
 
+    def test_equal_expectations_agree_to_rounding(self):
+        # star, per and asd share ECuu = 1/2 and ECuv = 1/3, so their E[D^2]
+        # is the same (2^-d - 3^-d) / n; no rounding residue of the
+        # analytically zero constant may separate them
+        values = [expected_iid_squared(m, 37, 3) for m in ("star", "per", "asd")]
+        assert max(values) - min(values) <= 8 * math.ulp(values[0])
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):
             expected_iid_squared("star", 0, 2)
