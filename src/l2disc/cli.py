@@ -301,10 +301,10 @@ def _cmd_disc(args) -> int:
 def _cmd_oracle(args) -> int:
     started = time.perf_counter()
     points = read_points(args.in_path)
-    spec = kernel_spec(args.measure, points.d)
-    closed = squared_discrepancy(spec, points)
+    # the estimate first, so a measure without geometry is named as such
     estimate = mc_squared_discrepancy(args.measure, points,
                                       samples=args.samples, seed=args.seed)
+    closed = squared_discrepancy(kernel_spec(args.measure, points.d), points)
     record = _record(
         "oracle", measure=args.measure, n=points.n, d=points.d,
         squared=closed.value, root=closed.root,

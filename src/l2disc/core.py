@@ -145,6 +145,13 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, count, least: int) -> int:
+    """count as an int; ValidationError unless it is an integer >= least."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {count!r}")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered multiset of ``n`` points in the closed unit cube [0,1]^d.

@@ -3,15 +3,16 @@
 Each measure with a set-based definition is estimated directly from its
 geometry: draw random anchor points, form the test region, compare the
 empirical point count against the region volume, and average the squared
-local discrepancy.  Nothing here touches the kernel closed forms, so these
-estimators serve as an independent check of them.
+local discrepancy.  The geometric estimators never touch the kernel closed
+forms, so they serve as an independent check of them (only mc_expected_iid,
+which averages the closed form over IID sets, uses them).
 
 Test-region conventions per measure (x is a set point, a and b anchors):
 
   star  half-open box [0, a): membership is x_j < a_j in every coordinate.
-  ext   box [a, b) kept only when a <= b coordinate-wise; the indicator
-        stays inside the integral (rejected draws contribute zero), matching
-        the unnormalized closed form.
+  ext   box [a, b); an inverted pair (some a_j > b_j) is an empty box of
+        volume 0, so rejected draws contribute zero inside the integral,
+        matching the unnormalized closed form.
   per   coordinate-wise wraparound interval: [a_j, b_j) when a_j <= b_j,
         else [0, b_j) united with [a_j, 1).
   ctr   box between a and its nearest cube vertex; the vertex end is closed
@@ -31,6 +32,11 @@ Test-region conventions per measure (x is a set point, a and b anchors):
         divides delta by 2^(d-1) to target the same functional as the
         closed form.
 
+Every region but sym is a product of one half-open interval lo_j <= x_j < hi_j
+per coordinate (per's wraparound is the complement of [b_j, a_j)), so
+membership is those intervals ANDed into one (m, n) array for m regions and
+n points; sym's is the parity of the count of x_j >= a_j.
+
 All estimators stream through a fixed chunk size with Philox streams keyed
 by the seed, so an estimate is a pure function of (inputs, samples, seed).
 """
@@ -48,6 +54,7 @@ from .core import (
     NoGeometricOracleError,
     PointSet,
     ValidationError,
+    check_count,
     check_seed,
 )
 from .kernels import b_rows, c_cross, kernel_spec
@@ -107,52 +114,39 @@ def _region_inside_volume(
     """Vectorized membership and volume for a batch of test regions.
 
     coords: (n, d) set points; a, b: (m, d) anchor draws.  Returns
-    (inside (m, n) bool, volume (m,), weight (m,)) where weight is the
-    ext validity indicator (all-ones elsewhere).
+    (inside (m, n) bool, volume (m,)).  Each product region is one interval
+    lo_j <= x_j < hi_j per coordinate (complemented where per's a_j > b_j),
+    ANDed over the coordinates; sym XORs x_j >= a_j into a parity.  An
+    inverted ext pair has an empty interval: an empty box of volume 0.
     """
-    X = coords[None, :, :]  # (1, n, d)
-    A = a[:, None, :]  # (m, 1, d)
-    m = a.shape[0]
-
+    inside = np.ones((a.shape[0], coords.shape[0]), dtype=bool)
+    flip = None
     if measure is MeasureId.STAR:
-        inside = (X < A).all(axis=2)
+        lo, hi = np.zeros_like(a), a
         volume = a.prod(axis=1)
-        weight = np.ones(m)
     elif measure is MeasureId.EXT:
-        B = b[:, None, :]
-        valid = (a <= b).all(axis=1)
-        inside = ((X >= A) & (X < B)).all(axis=2)
-        volume = np.where(valid, (b - a).prod(axis=1), 0.0)
-        weight = valid.astype(np.float64)
+        lo, hi = a, b
+        volume = np.where((a <= b).all(axis=1), (b - a).prod(axis=1), 0.0)
     elif measure is MeasureId.PER:
-        B = b[:, None, :]
-        plain = a <= b  # (m, d)
-        inside = np.where(
-            plain[:, None, :], (X >= A) & (X < B), (X < B) | (X >= A)
-        ).all(axis=2)
-        length = np.where(plain, b - a, 1.0 - a + b)
-        volume = length.prod(axis=1)
-        weight = np.ones(m)
+        lo, hi, flip = np.minimum(a, b), np.maximum(a, b), a > b
+        volume = np.where(a <= b, b - a, 1.0 - a + b).prod(axis=1)
     elif measure is MeasureId.CTR:
-        upper = a >= 0.5  # nearest vertex coordinate is 1
-        inside = np.where(upper[:, None, :], X >= A, X < A).all(axis=2)
+        upper = a >= 0.5  # nearest vertex coordinate is 1; its end is closed
+        lo, hi = np.where(upper, a, 0.0), np.where(upper, np.inf, a)
         volume = np.where(upper, 1.0 - a, a).prod(axis=1)
-        weight = np.ones(m)
     elif measure is MeasureId.CAD:
-        low = a <= 0.5  # box [a, 1/2), else [1/2, a)
-        inside = np.where(
-            low[:, None, :], (X >= A) & (X < 0.5), (X >= 0.5) & (X < A)
-        ).all(axis=2)
+        lo, hi = np.minimum(a, 0.5), np.maximum(a, 0.5)
         volume = np.abs(a - 0.5).prod(axis=1)
-        weight = np.ones(m)
     elif measure is MeasureId.SYM:
-        above = (X >= A).sum(axis=2)  # coordinates on the upper side
-        inside = above % 2 == 0
-        volume = (1.0 + (2.0 * a - 1.0).prod(axis=1)) / 2.0
-        weight = np.ones(m)
+        for x, aj in zip(coords.T, a.T):
+            inside ^= x >= aj[:, None]
+        return inside, (1.0 + (2.0 * a - 1.0).prod(axis=1)) / 2.0
     else:  # pragma: no cover - guarded by _require_geometric
         raise NoGeometricOracleError(str(measure))
-    return inside, volume, weight
+    for j, x in enumerate(coords.T):
+        hit = (x >= lo[:, j, None]) & (x < hi[:, j, None])
+        inside &= hit if flip is None else hit ^ flip[:, j, None]
+    return inside, volume
 
 
 def _outside_cube(arr) -> bool:
@@ -186,8 +180,8 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
         if b is not None:
             raise ValidationError(f"measure {measure} takes a single anchor")
         ba = None
-    inside, volume, weight = _region_inside_volume(measure, xa, aa, ba)
-    return bool(inside[0, 0] and weight[0] > 0.0), float(volume[0] * weight[0])
+    inside, volume = _region_inside_volume(measure, xa, aa, ba)
+    return bool(inside[0, 0]), float(volume[0])
 
 
 def local_discrepancy(points: PointSet, inside: np.ndarray, volume: float) -> float:
@@ -210,9 +204,7 @@ def mc_squared_discrepancy(
     sample mean with its standard error.
     """
     measure = _require_geometric(measure)
-    samples = int(samples)
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
+    samples = check_count("samples", samples, 2)
     seed = check_seed(seed)
     coords = points.coords
     d = points.d
@@ -231,9 +223,9 @@ def mc_squared_discrepancy(
         m = min(_CHUNK, left)
         a = gen.random((m, d))
         b = gen.random((m, d)) if two_anchor else None
-        inside, volume, weight = _region_inside_volume(measure, coords, a, b)
+        inside, volume = _region_inside_volume(measure, coords, a, b)
         delta = (inside.sum(axis=1).astype(np.float64) / n - volume) * delta_scale
-        g = weight * delta * delta
+        g = delta * delta
         s1 += float(g.sum())
         s2 += float((g * g).sum())
         left -= m
@@ -257,12 +249,8 @@ def mc_expected_iid(
     geometric definition), so it arbitrates the expectation identity.
     """
     spec = kernel_spec(measure, d, gamma=gamma)
-    n = int(n)
-    replications = int(replications)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if replications < 2:
-        raise ValidationError(f"replications must be >= 2, got {replications}")
+    n = check_count("n", n, 1)
+    replications = check_count("replications", replications, 2)
     seed = check_seed(seed)
     gen = np.random.Generator(np.random.Philox(seed))
 

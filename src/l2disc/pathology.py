@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MeasureId, PointSet, ValidationError
+from .core import MeasureId, PointSet, ValidationError, check_count
 from .evaluator import squared_discrepancy
 from .kernels import KernelSpec, kernel_spec
 
@@ -240,8 +240,7 @@ def _constant_products(spec: KernelSpec) -> float:
 
 def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
     """E[D^2] for n IID uniform points, from the stored constants."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = check_count("n", n, 1)
     return _constant_products(_spec_for(measure, d, gamma)) / n
 
 
@@ -277,8 +276,7 @@ def check_asd_superiority(d: int, n: int) -> bool:
     where both sides equal 1/12 (the comparison there sits at rounding
     noise), and holds strictly everywhere else.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = check_count("n", n, 1)
     j, single = _asd_comparison_constants(d)
     return j / n < single
 

@@ -28,6 +28,7 @@ from l2disc import (
     iid_uniform,
     kernel_spec,
     mc_expected_iid,
+    mc_squared_discrepancy,
     optimize,
     squared_value,
     value_and_gradient,
@@ -119,6 +120,28 @@ MC_EXPECTED_IID = {
     "ctr_weighted": "0x1.1a509d7d2134fp-4",
 }
 OPTIMIZE_PER_FINAL = "0x1.a7fb9cdbdfc58p-8"
+# geometric oracle (mean, stderr) on iid_uniform(8, d) with 70 000 anchors:
+# one full accumulation chunk and a partial second one
+MC_SQUARED = {
+    "cad-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
+    "cad-d2": ("0x1.96f3748eb1930p-9", "0x1.2f8b010776e0ap-16"),
+    "cad-d3": ("0x1.1b6a8717ba036p-10", "0x1.697be13d972fbp-17"),
+    "ctr-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
+    "ctr-d2": ("0x1.1c784964d5b67p-7", "0x1.7817ff002b609p-15"),
+    "ctr-d3": ("0x1.2aacb77e5d7d8p-8", "0x1.9acc34e36ae36p-15"),
+    "ext-d1": ("0x1.39fcb41cca7e9p-8", "0x1.4f1db2268e598p-15"),
+    "ext-d2": ("0x1.643d977fd2fb0p-10", "0x1.51d67a9492251p-16"),
+    "ext-d3": ("0x1.6d52383ab582fp-12", "0x1.310e800fc0dcbp-17"),
+    "per-d1": ("0x1.39413a06c4e49p-7", "0x1.a5f78a2938362p-15"),
+    "per-d2": ("0x1.e911c5925ac86p-7", "0x1.7eecf1bb75741p-14"),
+    "per-d3": ("0x1.1df909116cf90p-7", "0x1.07155873b2f55p-14"),
+    "star-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
+    "star-d2": ("0x1.2642e4fb13d1fp-7", "0x1.c09f2cfb01e74p-15"),
+    "star-d3": ("0x1.600b4d5939573p-8", "0x1.2aaf9547500fdp-15"),
+    "sym-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
+    "sym-d2": ("0x1.76970b8c025dcp-9", "0x1.02f0070d0cebap-16"),
+    "sym-d3": ("0x1.c1b08306f7dedp-10", "0x1.195aa333e0f57p-17"),
+}
 
 
 def _gamma(measure, d=D):
@@ -175,6 +198,14 @@ def test_greedy_extend_final(measure, points):
 def test_mc_expected_iid(measure):
     est = mc_expected_iid(measure, 5, 2, 300, 3, gamma=_gamma(measure, 2))
     assert float(est.mean).hex() == MC_EXPECTED_IID[measure]
+
+
+@pytest.mark.parametrize("case", sorted(MC_SQUARED))
+def test_mc_squared_discrepancy(case):
+    measure, _, dim = case.partition("-d")
+    pts = iid_uniform(8, int(dim), seed=SEED)
+    est = mc_squared_discrepancy(measure, pts, 70_000, seed=41)
+    assert (float(est.mean).hex(), float(est.stderr).hex()) == MC_SQUARED[case]
 
 
 def test_optimize_per_final(points):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +238,14 @@ class TestExitCodes:
         assert err.startswith("error: seed must be a nonnegative integer")
         assert not out.exists()
 
+    def test_oracle_names_missing_geometry(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        write_points(str(src), iid_uniform(3, 2, 141))
+        assert run(["oracle", "--measure", "ctr_weighted", "--in", src]) == 2
+        err = capsys.readouterr().err
+        assert "no geometric set definition" in err
+        assert "gamma" not in err
+
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 149))
@@ -265,3 +276,19 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run(["optimize", "--measure", "star", "--out", out]) == 2
         assert not out.exists()
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S)
+    return [line for line in block.group(1).splitlines()
+            if line.startswith("l2disc ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(_readme_cli_lines()) == 8
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    cli._build_parser().parse_args(shlex.split(line)[1:])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,42 @@ from l2disc import (
     squared_discrepancy,
 )
 from l2disc.pathology import expected_iid_squared
+
+
+QUARTERS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _reference_membership(measure, x, a, b):
+    """Membership and volume one coordinate at a time, written from the
+    conventions in the oracle module docstring."""
+    if measure == "sym":
+        above = sum(xj >= aj for xj, aj in zip(x, a))
+        return above % 2 == 0, (1.0 + math.prod(2.0 * aj - 1.0 for aj in a)) / 2.0
+    if measure == "ext" and any(aj > bj for aj, bj in zip(a, b)):
+        return False, 0.0  # rejected draw
+    inside, volume = True, 1.0
+    for j, (xj, aj) in enumerate(zip(x, a)):
+        if measure == "star":
+            ok, length = xj < aj, aj
+        elif measure == "ext":
+            ok, length = aj <= xj < b[j], b[j] - aj
+        elif measure == "per":  # wraps around when a_j > b_j
+            if aj <= b[j]:
+                ok, length = aj <= xj < b[j], b[j] - aj
+            else:
+                ok, length = xj < b[j] or xj >= aj, 1.0 - aj + b[j]
+        elif measure == "ctr":  # the vertex end is closed
+            if aj >= 0.5:
+                ok, length = xj >= aj, 1.0 - aj
+            else:
+                ok, length = xj < aj, aj
+        elif aj <= 0.5:  # cad: 1/2 belongs to the upper-anchored box
+            ok, length = aj <= xj < 0.5, 0.5 - aj
+        else:
+            ok, length = 0.5 <= xj < aj, aj - 0.5
+        inside = inside and ok
+        volume *= length
+    return inside, volume
 
 
 class TestLocalDiscrepancy:
@@ -97,6 +135,18 @@ class TestBoxMembership:
             box_membership(measure, *args)
 
 
+    @pytest.mark.parametrize("measure", ["star", "ext", "per", "ctr", "cad", "sym"])
+    def test_quarter_grid_ties_match_reference(self, measure):
+        # on the quarter grid x = a, a = 1/2 and a = b all occur often, and
+        # every volume is exact, so both results must match exactly
+        rng = np.random.Generator(np.random.Philox(71))
+        for d in (1, 2, 3):
+            for x, a, b in rng.choice(QUARTERS, size=(300, 3, d)):
+                b = b if measure in ("ext", "per") else None
+                got = box_membership(measure, x, a, b)
+                assert got == _reference_membership(measure, x, a, b), (x, a, b)
+
+
 class TestSymVolumeIdentity:
     def test_shortcut_equals_vertex_summation(self):
         rng = np.random.Generator(np.random.Philox(47))
@@ -159,6 +209,16 @@ class TestMcSquaredDiscrepancy:
             mc_expected_iid("star", 3, 2, 10, seed=seed)
 
 
+    @pytest.mark.parametrize("samples", [2.9, 3.0, "3", None])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            mc_squared_discrepancy("star", PointSet([[0.5]]), samples, seed=0)
+
+    def test_accepts_numpy_integer_samples(self):
+        est = mc_squared_discrepancy("star", PointSet([[0.5]]), np.int64(3), seed=0)
+        assert est.samples == 3 and type(est.samples) is int
+
+
 class TestMcExpectedIid:
     def test_star_matches_closed_expectation(self):
         est = mc_expected_iid("star", n=8, d=2, replications=30_000, seed=11)
@@ -183,6 +243,13 @@ class TestMcExpectedIid:
         )
         expected = expected_iid_squared("sym_weighted", 3, 2, gamma=[4.0, 4.0])
         assert abs(est.mean - expected) < 4 * est.stderr
+
+    @pytest.mark.parametrize("n,replications", [
+        (3.5, 10), (3.0, 10), (3, 10.5), (3, 10.0), (None, 10),
+    ])
+    def test_rejects_non_integer_counts(self, n, replications):
+        with pytest.raises(ValidationError, match="n must|replications must"):
+            mc_expected_iid("star", n, 2, replications, seed=0)
 
     def test_reproducible(self):
         a = mc_expected_iid("ctr", n=4, d=2, replications=5_000, seed=29)
