@@ -12,6 +12,17 @@ an inclusive uniform grid and the winner is refined by compass pattern
 search with a shrinking step, budgeted in evaluations so runs are
 deterministic.
 
+The grid is never built as a (k^d, d) array.  A grid point's factors take
+only the k values per axis, so scoring reads them from per-axis tables
+(B_j(g), C_j(g, g) and C_j(x_ij, g)) and multiplies them in coordinate
+order, in blocks of whole grid lines.  The base sum sum_i prod_j C_j(x_ij, g)
+is kept for every grid point across steps: built once, then each appended
+point's row is added in append order, which is the order numpy's row sum
+would use.  Pattern search scores the rest of each compass sweep as one
+batch and counts only the trials the one-at-a-time scan would have made,
+so the evaluation counts and budget stops are unchanged.  None of this
+moves a bit of the scores, the refined points or the trace.
+
 Optimization is projected gradient descent with momentum: restart 0 starts
 from the caller's set, further restarts from IID uniform sets drawn from a
 counter-based generator keyed by (seed, restart).  Every candidate result
@@ -32,10 +43,11 @@ from .core import (
     NonDifferentiableMeasureError,
     PointSet,
     ValidationError,
+    check_count,
     check_seed,
 )
 from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
-from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, kernel_spec
 
 __all__ = [
     "GreedyConfig",
@@ -74,10 +86,8 @@ class GreedyConfig:
     max_refine_evaluations: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValidationError(f"batch must be >= 1, got {self.batch}")
-        if self.grid_k < 2:
-            raise ValidationError(f"grid_k must be >= 2, got {self.grid_k}")
+        check_count("batch", self.batch, 1)
+        check_count("grid_k", self.grid_k, 2)
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValidationError(
                 f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
@@ -85,8 +95,7 @@ class GreedyConfig:
             raise ValidationError("refine_initial_step must be positive")
         if self.refine_min_step <= 0:
             raise ValidationError("refine_min_step must be positive")
-        if self.max_refine_evaluations < 0:
-            raise ValidationError("max_refine_evaluations must be >= 0")
+        check_count("max_refine_evaluations", self.max_refine_evaluations, 0)
 
 
 @dataclass(frozen=True)
@@ -170,81 +179,172 @@ def _running_min(values: Sequence[float]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _batch_objective(spec: KernelSpec, base: np.ndarray,
-                     batch_pts: np.ndarray, total: int) -> float:
-    """G(Y) for the whole batch against the fixed base points."""
-    b_sum = float(np.sum(b_rows(spec, batch_pts)))
-    cross = float(np.sum(c_cross(spec, base, batch_pts)))
-    pair = float(np.sum(c_cross(spec, batch_pts, batch_pts)))
-    return -2.0 * total * b_sum + 2.0 * cross + pair
+def _batch_objective(spec: KernelSpec, base: np.ndarray, trials: np.ndarray,
+                     total: int) -> np.ndarray:
+    """G(Y) for every batch Y of a (t, b, d) stack against the fixed base
+    points.  Each trial's sums run over one contiguous row of a (t, ...)
+    array, which numpy adds as it would add that trial's array alone."""
+    t = trials.shape[0]
+    b_sum = b_rows(spec, trials).sum(axis=1)
+    cross = c_cross(spec, np.broadcast_to(base, (t,) + base.shape), trials)
+    pair = c_cross(spec, trials, trials)
+    return (-2.0 * total * b_sum + 2.0 * cross.reshape(t, -1).sum(axis=1)
+            + pair.reshape(t, -1).sum(axis=1))
 
 
-def _slot_scores(spec: KernelSpec, base: np.ndarray, chosen: np.ndarray,
-                 cands: np.ndarray, total: int) -> np.ndarray:
-    """Objective increment of each candidate as the next batch point, scored in
-    chunks; a width-1 tail joins the chunk before it, as (n, 1) sums pairwise."""
-    k = cands.shape[0]
-    width = max(2, _SUM_BLOCK // base.shape[0])
-    scores = np.empty(k)
-    for k0 in range(0, max(k - 1, 1), width):
-        k1 = k if k0 + width >= k - 1 else k0 + width
-        chunk = cands[k0:k1]
-        part = -2.0 * total * b_rows(spec, chunk)
-        part = part + 2.0 * np.sum(c_cross(spec, base, chunk), axis=0)
-        if chosen.shape[0]:
-            part = part + 2.0 * np.sum(c_cross(spec, chosen, chunk), axis=0)
-        scores[k0:k1] = part + c_diag(spec, chunk)
-    return scores
-
-
-def _candidate_grid(d: int, k: int) -> np.ndarray:
+def _grid_axis(d: int, k: int) -> np.ndarray:
+    """The k values per axis of the candidate grid, endpoints included."""
     if k ** d > _MAX_GRID_CANDIDATES:
         raise ValidationError(
             f"candidate grid of {k}^{d} points exceeds the "
             f"{_MAX_GRID_CANDIDATES} cap; lower grid_k or d")
-    axes = [np.linspace(0.0, 1.0, k)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.linspace(0.0, 1.0, k)
 
 
-def _argmin_tiebreak(cands: np.ndarray, scores: np.ndarray) -> int:
-    """Lowest score; ties go to the candidate closest to the center,
+def _grid_points(axis: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
+    """The grid points at flat scan indices, shape (t, d); the last axis varies
+    fastest, as in a raveled meshgrid(indexing="ij")."""
+    idx = np.unravel_index(flat, (axis.size,) * d)
+    return np.stack([axis[i] for i in idx], axis=1)
+
+
+def _candidate_grid(d: int, k: int) -> np.ndarray:
+    """Every grid point in scan order, shape (k**d, d)."""
+    return _grid_points(_grid_axis(d, k), d, np.arange(k ** d))
+
+
+def _grid_blocks(d: int, k: int, rows: int):
+    """Split the grid in scan order into blocks of about _SUM_BLOCK // rows
+    points: whole lines (a_0..a_{d-2} fixed, a_{d-1} running) or, where one
+    line is wider, spans of a line.  No block is 1 wide, because numpy sums a
+    (rows, 1) column pairwise, not in row order; a width-1 tail joins the
+    span before it.  Yields the flat slice, the line indices of the axes
+    before the last, and the column slice of the last axis."""
+    width = max(2, _SUM_BLOCK // rows)
+    lines = k ** (d - 1)
+    per = max(1, width // k)
+    spans = [(c0, k if c0 + width >= k - 1 else c0 + width)
+             for c0 in range(0, max(k - 1, 1), width)]
+    for l0 in range(0, lines, per):
+        l1 = min(l0 + per, lines)
+        idx = np.unravel_index(np.arange(l0, l1), (k,) * (d - 1)) if d > 1 else ()
+        for c0, c1 in spans:
+            yield slice(l0 * k + c0, (l1 - 1) * k + c1), idx, slice(c0, c1)
+
+
+def _grid_product(tabs: list, idx: tuple, cols: slice) -> np.ndarray:
+    """prod_j tabs[j][..., a_j] over one block of ``_grid_blocks``, shape
+    (..., width), C-contiguous.  ``tabs`` holds one (..., k) table per axis;
+    the factors multiply in coordinate order j = 0..d-1 from 1.0, as in
+    ``kernels.c_cross``, so the products carry its bits."""
+    prefix = 1.0
+    for tab, a in zip(tabs, idx):
+        prefix = prefix * tab[..., a]
+    out = np.expand_dims(prefix, -1) * tabs[-1][..., None, cols]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def _cross_tables(spec: KernelSpec, pts: np.ndarray, axis: np.ndarray) -> list:
+    """C_j(p_j, g) for every row p of pts and every grid value g: one (m, k)
+    table per axis, with the point's coordinate first as in c_cross."""
+    return [spec.c_col(pts[:, j, None], axis[None, :], j) for j in range(spec.d)]
+
+
+def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_i prod_j C_j(p_ij, g_j) for every grid point g.  numpy adds the rows
+    of an (m, width >= 2) block in row order, so block widths move no bits."""
+    tabs = _cross_tables(spec, pts, axis)
+    sums = np.empty(axis.size ** spec.d)
+    for flat, idx, cols in _grid_blocks(spec.d, axis.size, pts.shape[0]):
+        sums[flat] = _grid_product(tabs, idx, cols).sum(axis=0)
+    return sums
+
+
+def _add_cross_rows(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
+                    pts: np.ndarray) -> None:
+    """Add each row of pts into ``_cross_sums`` in order, which continues its
+    row-order sum: the result has the bits of the sums over all rows."""
+    tabs = _cross_tables(spec, pts, axis)
+    for flat, idx, cols in _grid_blocks(spec.d, axis.size, pts.shape[0]):
+        for row in _grid_product(tabs, idx, cols):
+            sums[flat] += row
+
+
+def _slot_scores(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
+                 chosen: np.ndarray, total: int) -> np.ndarray:
+    """Objective increment of every grid point as the next batch point, given
+    the base's ``_cross_sums``; each block adds -2·total·B, 2·sums,
+    2·Σchosen and C(g, g) in that order."""
+    d = spec.d
+    b_tabs = [spec.b_col(axis, j) for j in range(d)]
+    diag_tabs = [spec.c_col(axis, axis, j) for j in range(d)]
+    chosen_tabs = _cross_tables(spec, chosen, axis)
+    scores = np.empty(sums.size)
+    for flat, idx, cols in _grid_blocks(d, axis.size, max(1, chosen.shape[0])):
+        part = scores[flat]
+        np.multiply(-2.0 * total, _grid_product(b_tabs, idx, cols), out=part)
+        part += 2.0 * sums[flat]
+        if chosen.shape[0]:
+            part += 2.0 * _grid_product(chosen_tabs, idx, cols).sum(axis=0)
+        part += _grid_product(diag_tabs, idx, cols)
+    return scores
+
+
+def _argmin_tiebreak(axis: np.ndarray, d: int, scores: np.ndarray) -> int:
+    """Lowest score; ties go to the grid point closest to the center,
     then to the lowest scan index."""
     lo = float(np.min(scores))
     tied = np.flatnonzero(scores <= lo + _TIE_ATOL)
     if tied.size == 1:
         return int(tied[0])
-    dist = np.sum((cands[tied] - 0.5) ** 2, axis=1)
+    dist = np.sum((_grid_points(axis, d, tied) - 0.5) ** 2, axis=1)
     best = tied[dist <= np.min(dist) + _TIE_ATOL]
     return int(best[0])
 
 
 def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
                     total: int, cfg: GreedyConfig) -> tuple[np.ndarray, float, int]:
-    """Compass search over all batch coordinates jointly, clamped to [0,1]."""
+    """Compass search over all batch coordinates jointly, clamped to [0,1].
+
+    A sweep tries +step, then -step, on each coordinate in turn, and goes
+    on to the next coordinate after an improving trial; a sweep without
+    one shrinks the step.  The rest of a sweep is scored as one batch of
+    moves from the current point, cut at the remaining budget; the first
+    improving trial in scan order is taken, ``evals`` counts the trials up
+    to it, and the sweep goes on from the next coordinate in a new batch.
+    """
     step = cfg.refine_initial_step
     if step is None:
         step = 1.0 / (cfg.grid_k - 1)
+    budget = cfg.max_refine_evaluations
     current = start.copy()
-    value = _batch_objective(spec, base, current, total)
+    value = float(_batch_objective(spec, base, current[None], total)[0])
     evals = 1
-    while step >= cfg.refine_min_step and evals < cfg.max_refine_evaluations:
+    while step >= cfg.refine_min_step and evals < budget:
         improved = False
-        for m in range(current.shape[0]):
-            for j in range(current.shape[1]):
+        at = 0  # flat (m, j) coordinate the sweep goes on from
+        while evals < budget:
+            trials, where = [], []
+            for c in range(at, current.size):
+                m, j = divmod(c, current.shape[1])
                 for direction in (step, -step):
-                    if evals >= cfg.max_refine_evaluations:
-                        return current, value, evals
-                    trial = current.copy()
-                    trial[m, j] = min(1.0, max(0.0, trial[m, j] + direction))
-                    if trial[m, j] == current[m, j]:
-                        continue
-                    cand_value = _batch_objective(spec, base, trial, total)
-                    evals += 1
-                    if cand_value < value:
-                        current, value = trial, cand_value
-                        improved = True
-                        break
+                    moved = min(1.0, max(0.0, current[m, j] + direction))
+                    if moved != current[m, j]:
+                        trial = current.copy()
+                        trial[m, j] = moved
+                        trials.append(trial)
+                        where.append(c)
+            if not trials:
+                break
+            trials = trials[:budget - evals]
+            values = _batch_objective(spec, base, np.stack(trials), total)
+            hit = np.flatnonzero(values < value)
+            used = int(hit[0]) + 1 if hit.size else len(trials)
+            evals += used
+            at = where[used - 1] + 1
+            if hit.size:
+                current, value = trials[used - 1], float(values[used - 1])
+                improved = True
         if not improved:
             step *= cfg.refine_shrink
     return current, value, evals
@@ -262,26 +362,27 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
     derivative-free, so measures with kinks or jumps are all accepted.
     """
     cfg = cfg or GreedyConfig()
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
+    steps = check_count("steps", steps, 1)
     if points.d != spec.d:
         raise ValidationError(
             f"point set has d={points.d} but kernel spec has d={spec.d}")
     coords = np.array(points.coords)
-    cands = _candidate_grid(spec.d, cfg.grid_k)
+    axis = _grid_axis(spec.d, cfg.grid_k)
+    sums = _cross_sums(spec, axis, coords)
     values = []
     evals = 0
-    for _ in range(steps):
-        n = coords.shape[0]
-        total = n + cfg.batch
+    for step in range(steps):
+        total = coords.shape[0] + cfg.batch
         chosen = np.empty((0, spec.d))
         for _slot in range(cfg.batch):
-            scores = _slot_scores(spec, coords, chosen, cands, total)
-            evals += cands.shape[0]
-            pick = _argmin_tiebreak(cands, scores)
-            chosen = np.vstack([chosen, cands[pick]])
+            pick = _argmin_tiebreak(
+                axis, spec.d, _slot_scores(spec, axis, sums, chosen, total))
+            evals += sums.size
+            chosen = np.vstack([chosen, _grid_points(axis, spec.d, np.array([pick]))])
         chosen, _, used = _pattern_search(spec, coords, chosen, total, cfg)
         evals += used
+        if step + 1 < steps:
+            _add_cross_rows(spec, axis, sums, chosen)
         coords = np.vstack([coords, chosen])
         values.append(squared_discrepancy(spec, PointSet(coords)).value)
     final = PointSet(coords)

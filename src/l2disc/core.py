@@ -146,8 +146,10 @@ def check_seed(seed) -> int:
 
 
 def check_count(name: str, count, least: int) -> int:
-    """count as an int; ValidationError unless it is an integer >= least."""
-    if not isinstance(count, (int, np.integer)) or count < least:
+    """count as an int; ValidationError unless it is an integer >= least
+    (a bool is not a count)."""
+    if (not isinstance(count, (int, np.integer)) or isinstance(count, bool)
+            or count < least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {count!r}")
     return int(count)
 

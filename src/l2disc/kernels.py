@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MeasureId, ValidationError, WeightVector
+from .core import MeasureId, ValidationError, WeightVector, check_count
 
 __all__ = ["KernelSpec", "kernel_spec", "expectation_constants"]
 
@@ -418,9 +418,7 @@ def kernel_spec(
         rejected for all others.
     """
     measure = MeasureId.parse(measure)
-    d = int(d)
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
+    d = check_count("d", d, 1)
 
     if measure.weighted:
         if gamma is None:

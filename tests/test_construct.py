@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l2disc import (
     GreedyConfig,
@@ -22,8 +24,22 @@ from l2disc import (
     squared_discrepancy,
 )
 from l2disc import construct
-from l2disc.construct import _candidate_grid, _slot_scores
+from l2disc.construct import (
+    _candidate_grid,
+    _cross_sums,
+    _grid_axis,
+    _pattern_search,
+    _slot_scores,
+)
 from l2disc.kernels import b_rows, c_cross, c_diag
+
+ALL_TAGS = ["star", "ext", "per", "ctr", "cad", "sym", "mix", "asd",
+            "ctr_weighted", "sym_weighted"]
+
+
+def _spec(tag, d):
+    gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
+    return kernel_spec(tag, d, gamma=gamma)
 
 
 class TestConfigs:
@@ -40,6 +56,13 @@ class TestConfigs:
             GreedyConfig(refine_shrink=1.0)
         with pytest.raises(ValidationError):
             GreedyConfig(max_refine_evaluations=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 1.5), ("grid_k", 5.5), ("max_refine_evaluations", 3.5),
+    ])
+    def test_greedy_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            GreedyConfig(**{field: value})
 
     def test_optimizer_rejects_bad_values(self):
         with pytest.raises(ValidationError):
@@ -127,6 +150,8 @@ class TestGreedyExtend:
             greedy_extend(spec, sobol(4, 2), steps=0)
         with pytest.raises(ValidationError):
             greedy_extend(spec, sobol(4, 3), steps=1)
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            greedy_extend(spec, sobol(4, 2), steps=1.5)
 
     def test_candidate_grid_cap(self):
         with pytest.raises(ValidationError):
@@ -243,26 +268,102 @@ class TestCrossEvaluate:
             cross_evaluate(sets, ["star", "ext"])
 
 
+def _generic_scores(spec, base, chosen, cands, total):
+    # the objective increment written for arbitrary candidates, as one
+    # (rows, K) cross matrix per term summed down its rows: the expression
+    # the grid scorer replaces
+    scores = -2.0 * total * b_rows(spec, cands)
+    scores = scores + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
+    if chosen.shape[0]:
+        scores = scores + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
+    return scores + c_diag(spec, cands)
+
+
+def _grid_scores(spec, base, chosen, k, total):
+    axis = _grid_axis(spec.d, k)
+    return _slot_scores(spec, axis, _cross_sums(spec, axis, base), chosen, total)
+
+
+def _one_batch_objective(spec, base, batch_pts, total):
+    b_sum = float(np.sum(b_rows(spec, batch_pts)))
+    cross = float(np.sum(c_cross(spec, base, batch_pts)))
+    pair = float(np.sum(c_cross(spec, batch_pts, batch_pts)))
+    return -2.0 * total * b_sum + 2.0 * cross + pair
+
+
+def _sequential_pattern_search(spec, base, start, total, cfg):
+    # compass search one trial at a time, the loop the batched sweeps replace
+    step = cfg.refine_initial_step
+    if step is None:
+        step = 1.0 / (cfg.grid_k - 1)
+    current = start.copy()
+    value = _one_batch_objective(spec, base, current, total)
+    evals = 1
+    while step >= cfg.refine_min_step and evals < cfg.max_refine_evaluations:
+        improved = False
+        for m in range(current.shape[0]):
+            for j in range(current.shape[1]):
+                for direction in (step, -step):
+                    if evals >= cfg.max_refine_evaluations:
+                        return current, value, evals
+                    trial = current.copy()
+                    trial[m, j] = min(1.0, max(0.0, trial[m, j] + direction))
+                    if trial[m, j] == current[m, j]:
+                        continue
+                    cand_value = _one_batch_objective(spec, base, trial, total)
+                    evals += 1
+                    if cand_value < value:
+                        current, value = trial, cand_value
+                        improved = True
+                        break
+        if not improved:
+            step *= cfg.refine_shrink
+    return current, value, evals
+
+
 class TestSlotScores:
-    # 31 candidates leave a width-1 tail at chunk widths 2 and 3; at these n
-    # numpy's pairwise sum of that (n, 1) column differs from the row-order
-    # sum, so every case fails if the tail is not merged
+    # a grid line of 31 values (7 at d = 3) leaves a width-1 tail, the
+    # column g = 1, at block widths 2 and 3; at these n numpy's pairwise sum
+    # of that (n, 1) column differs from the row-order sum, so the sym and
+    # mix cases fail if the tail is not merged (star's C(x, 1) is 0, so its
+    # cases check the other block edges only)
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("tag,n,d", [("star", 200, 2), ("sym", 150, 3), ("mix", 100, 1)])
     def test_chunks_are_invisible(self, width, tag, n, d):
+        k = 7 if d == 3 else 31
         spec = kernel_spec(tag, d)
         base = iid_uniform(n, d, seed=n + d).coords
         chosen = iid_uniform(2, d, seed=1).coords
-        cands = iid_uniform(31, d, seed=2).coords
         total = n + 3
-        # the unchunked scores: one (n, K) cross matrix, summed down its rows
-        reference = -2.0 * total * b_rows(spec, cands)
-        reference = reference + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
-        reference = reference + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
-        reference = reference + c_diag(spec, cands)
+        reference = _generic_scores(spec, base, chosen, _candidate_grid(d, k), total)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", width * n)
-            scores = _slot_scores(spec, base, chosen, cands, total)
+            scores = _grid_scores(spec, base, chosen, k, total)
+        assert np.array_equal(scores, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        d=st.integers(1, 4),
+        n=st.integers(1, 80),
+        k=st.integers(2, 9),
+        n_chosen=st.integers(0, 2),
+        block=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="sym_weighted", d=4, n=80, k=9, n_chosen=2, block=2, seed=0)
+    @example(tag="cad", d=1, n=1, k=2, n_chosen=0, block=2, seed=1)
+    def test_grid_scores_match_generic_expression(self, tag, d, n, k, n_chosen,
+                                                  block, seed):
+        spec = _spec(tag, d)
+        base = iid_uniform(n, d, seed=seed).coords
+        # grid values among the chosen points make ties of the kink factors
+        chosen = _candidate_grid(d, k)[seed % k ** d:][:n_chosen]
+        total = n + n_chosen + 1
+        reference = _generic_scores(spec, base, chosen, _candidate_grid(d, k), total)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", block)
+            scores = _grid_scores(spec, base, chosen, k, total)
         assert np.array_equal(scores, reference)
 
     def test_peak_memory_is_chunk_sized(self):
@@ -270,11 +371,77 @@ class TestSlotScores:
         # about 404 MiB
         spec = kernel_spec("sym", 3)
         base = iid_uniform(64, 3, seed=67).coords
-        cands = _candidate_grid(3, 65)
         tracemalloc.start()
         try:
-            _slot_scores(spec, base, np.empty((0, 3)), cands, 65)
+            _grid_scores(spec, base, np.empty((0, 3)), 65, 65)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    def test_greedy_peak_memory_holds_no_candidate_array(self):
+        # two 65^3 float vectors (the base sums and one slot's scores) are
+        # 4.2 MiB; a (65^3, 3) candidate array alone would be 6.3 MiB
+        spec = kernel_spec("sym", 3)
+        start = iid_uniform(64, 3, seed=67)
+        cfg = GreedyConfig(batch=2, grid_k=65)
+        tracemalloc.start()
+        try:
+            greedy_extend(spec, start, 2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
+
+class TestBatchedSweeps:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        d=st.integers(1, 3),
+        batch=st.integers(1, 3),
+        budget=st.sampled_from([0, 1, 7, 50, 2_000]),
+        corner=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="star", d=2, batch=2, budget=7, corner=True, seed=0)
+    @example(tag="ctr", d=3, batch=1, budget=1, corner=True, seed=1)
+    @example(tag="cad", d=1, batch=3, budget=0, corner=False, seed=2)
+    def test_matches_sequential_trials(self, tag, d, batch, budget, corner, seed):
+        spec = _spec(tag, d)
+        base = iid_uniform(12, d, seed=seed).coords
+        start = iid_uniform(batch, d, seed=seed + 1).coords
+        if corner:
+            # every coordinate at 0 or 1, so half of the compass moves clamp
+            start = np.round(start)
+        cfg = GreedyConfig(batch=batch, grid_k=9, refine_min_step=1e-4,
+                           max_refine_evaluations=budget)
+        total = 12 + batch
+        got = _pattern_search(spec, base, start, total, cfg)
+        want = _sequential_pattern_search(spec, base, start, total, cfg)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        d=st.integers(1, 3),
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_running_sums_match_per_step_recomputation(self, tag, d, n, seed):
+        spec = _spec(tag, d)
+        start = iid_uniform(n, d, seed=seed)
+        cfg = GreedyConfig(batch=2, grid_k=9, max_refine_evaluations=60)
+        rows = [start.coords]
+        add_rows = construct._add_cross_rows
+
+        def checked(spec, axis, sums, pts):
+            add_rows(spec, axis, sums, pts)
+            rows.append(pts)
+            assert np.array_equal(sums, _cross_sums(spec, axis, np.vstack(rows)))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_add_cross_rows", checked)
+            greedy_extend(spec, start, 3, cfg)
+        assert len(rows) == 3

@@ -100,6 +100,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             kernel_spec("star", 0)
 
+    @pytest.mark.parametrize("d", [2.5, "3", True])
+    def test_non_integer_dimension(self, d):
+        with pytest.raises(ValidationError, match="d must be an integer"):
+            kernel_spec("star", d)
+
     def test_unknown_measure(self):
         with pytest.raises(ValidationError):
             kernel_spec("linf", 2)

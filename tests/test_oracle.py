@@ -251,6 +251,10 @@ class TestMcExpectedIid:
         with pytest.raises(ValidationError, match="n must|replications must"):
             mc_expected_iid("star", n, 2, replications, seed=0)
 
+    def test_rejects_non_integer_dimension(self):
+        with pytest.raises(ValidationError, match="d must be an integer"):
+            mc_expected_iid("star", 3, 2.5, 10, seed=0)
+
     def test_reproducible(self):
         a = mc_expected_iid("ctr", n=4, d=2, replications=5_000, seed=29)
         b = mc_expected_iid("ctr", n=4, d=2, replications=5_000, seed=29)
