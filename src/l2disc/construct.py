@@ -18,10 +18,11 @@ only the k values per axis, so scoring reads them from per-axis tables
 order, in blocks of whole grid lines.  The base sum sum_i prod_j C_j(x_ij, g)
 is kept for every grid point across steps: built once, then each appended
 point's row is added in append order, which is the order numpy's row sum
-would use.  Pattern search scores the rest of each compass sweep as one
-batch and counts only the trials the one-at-a-time scan would have made,
-so the evaluation counts and budget stops are unchanged.  None of this
-moves a bit of the scores, the refined points or the trace.
+would use, and the last slot of a call scores into them in place.  Pattern
+search tables C_j(x_ij, v), B_j(v) and C_j(v, v') once per sweep for each
+v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed); a
+trial is the current tables with one axis's entries replaced, and only the
+trials the one-at-a-time scan would make count.  None of this moves a bit.
 
 Optimization is projected gradient descent with momentum: restart 0 starts
 from the caller's set, further restarts from IID uniform sets drawn from a
@@ -47,7 +48,7 @@ from .core import (
     check_seed,
 )
 from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
-from .kernels import KernelSpec, b_rows, c_cross, kernel_spec
+from .kernels import KernelSpec, kernel_spec
 
 __all__ = [
     "GreedyConfig",
@@ -179,17 +180,28 @@ def _running_min(values: Sequence[float]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _batch_objective(spec: KernelSpec, base: np.ndarray, trials: np.ndarray,
-                     total: int) -> np.ndarray:
-    """G(Y) for every batch Y of a (t, b, d) stack against the fixed base
-    points.  Each trial's sums run over one contiguous row of a (t, ...)
-    array, which numpy adds as it would add that trial's array alone."""
-    t = trials.shape[0]
-    b_sum = b_rows(spec, trials).sum(axis=1)
-    cross = c_cross(spec, np.broadcast_to(base, (t,) + base.shape), trials)
-    pair = c_cross(spec, trials, trials)
-    return (-2.0 * total * b_sum + 2.0 * cross.reshape(t, -1).sum(axis=1)
-            + pair.reshape(t, -1).sum(axis=1))
+def _sweep_tables(spec: KernelSpec, base: np.ndarray, current: np.ndarray,
+                  step: float) -> tuple:
+    """A sweep's (3b, d) values (row u: point u % b as it is, u < b, then +step,
+    then -step, clamped), C_j(w_j, v_j) (d, n + 3b, 3b) for the rows w of [base;
+    values], w first as in ``c_cross``, and B_j(v_j) (d, 3b), each in one call."""
+    moves = current + np.array([0.0, step, -step])[:, None, None]
+    vals = np.minimum(np.maximum(moves, 0.0), 1.0).reshape(-1, spec.d)
+    rows, axes = np.concatenate([base, vals]).T, np.arange(spec.d)[:, None]
+    tab = spec.c_col(rows[:, :, None], vals.T[:, None, :], axes[..., None])
+    return vals, tab, spec.b_col(vals.T, axes)
+
+
+def _objective(cross: np.ndarray, b_tab: np.ndarray, pair: np.ndarray,
+               total: int) -> np.ndarray:
+    """G(Y) for t batches from per-axis tables stacked axis first, cross
+    (d, t, n, b), b_tab (d, t, b), pair (d, t, b, b): the axes multiply in order,
+    as in ``c_cross``, and numpy sums each trial's contiguous row as if alone."""
+    t = cross.shape[1]
+    b_sum = np.multiply.reduce(b_tab).sum(axis=1)
+    c_sum = np.multiply.reduce(cross).reshape(t, -1).sum(axis=1)
+    p_sum = np.multiply.reduce(pair).reshape(t, -1).sum(axis=1)
+    return -2.0 * total * b_sum + 2.0 * c_sum + p_sum
 
 
 def _grid_axis(d: int, k: int) -> np.ndarray:
@@ -271,19 +283,20 @@ def _add_cross_rows(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
 
 
 def _slot_scores(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
-                 chosen: np.ndarray, total: int) -> np.ndarray:
+                 chosen: np.ndarray, total: int, out=None) -> np.ndarray:
     """Objective increment of every grid point as the next batch point, given
     the base's ``_cross_sums``; each block adds -2·total·B, 2·sums,
-    2·Σchosen and C(g, g) in that order."""
+    2·Σchosen and C(g, g) in that order, into ``out`` (may be ``sums``)."""
     d = spec.d
     b_tabs = [spec.b_col(axis, j) for j in range(d)]
     diag_tabs = [spec.c_col(axis, axis, j) for j in range(d)]
     chosen_tabs = _cross_tables(spec, chosen, axis)
-    scores = np.empty(sums.size)
+    scores = np.empty(sums.size) if out is None else out
     for flat, idx, cols in _grid_blocks(d, axis.size, max(1, chosen.shape[0])):
+        twice = 2.0 * sums[flat]
         part = scores[flat]
         np.multiply(-2.0 * total, _grid_product(b_tabs, idx, cols), out=part)
-        part += 2.0 * sums[flat]
+        part += twice
         if chosen.shape[0]:
             part += 2.0 * _grid_product(chosen_tabs, idx, cols).sum(axis=0)
         part += _grid_product(diag_tabs, idx, cols)
@@ -318,33 +331,40 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
         step = 1.0 / (cfg.grid_k - 1)
     budget = cfg.max_refine_evaluations
     current = start.copy()
-    value = float(_batch_objective(spec, base, current[None], total)[0])
+    (b, d), n = current.shape, base.shape[0]
+    _, tab, b_tab = _sweep_tables(spec, base, current, step)  # u < b: the start
+    value = float(_objective(tab[:, None, :n, :b], b_tab[:, None, :b],
+                             tab[:, None, n:n + b, :b], total)[0])
     evals = 1
+    axes, rows = np.arange(d)[:, None, None], np.arange(2 * b * d)
     while step >= cfg.refine_min_step and evals < budget:
         improved = False
-        at = 0  # flat (m, j) coordinate the sweep goes on from
-        while evals < budget:
-            trials, where = [], []
-            for c in range(at, current.size):
-                m, j = divmod(c, current.shape[1])
-                for direction in (step, -step):
-                    moved = min(1.0, max(0.0, current[m, j] + direction))
-                    if moved != current[m, j]:
-                        trial = current.copy()
-                        trial[m, j] = moved
-                        trials.append(trial)
-                        where.append(c)
-            if not trials:
+        vals, tab, b_tab = _sweep_tables(spec, base, current, step)
+        cross, pair, now = tab[:, :n], tab[:, n:], tab[:, None, :n, :b].copy()
+        idx = np.repeat(rows[None, None, :b], d, axis=0)  # [j, 0, m]: row of y_mj
+        # trials (point, axis, row of vals) in scan order, + before -
+        tm, tj, ts = np.nonzero((vals[b:].reshape(2, b, d) != current).transpose(1, 2, 0))
+        tu, tc = (ts + 1) * b + tm, tm * d + tj
+        after = np.searchsorted(tc, tc, "right").tolist()  # next coordinate's first
+        pos = 0
+        while pos < len(after) and evals < budget:
+            stop = pos + budget - evals
+            m, j, u = tm[pos:stop], tj[pos:stop], tu[pos:stop]
+            tidx = np.repeat(idx, u.size, axis=1)
+            tidx[j, rows[:u.size], m] = u
+            tcross = np.repeat(now, u.size, axis=1)
+            tcross[j, rows[:u.size], :, m] = cross[j, :, u]
+            values = _objective(tcross, b_tab[axes, tidx], pair[
+                axes[..., None], tidx[..., None], tidx[..., None, :]], total)
+            better = values < value
+            k = int(better.argmax())
+            evals += k + 1 if better[k] else u.size
+            if not better[k]:
                 break
-            trials = trials[:budget - evals]
-            values = _batch_objective(spec, base, np.stack(trials), total)
-            hit = np.flatnonzero(values < value)
-            used = int(hit[0]) + 1 if hit.size else len(trials)
-            evals += used
-            at = where[used - 1] + 1
-            if hit.size:
-                current, value = trials[used - 1], float(values[used - 1])
-                improved = True
+            value, improved = float(values[k]), True
+            m, j, u = m[k], j[k], u[k]
+            idx[j, 0, m], now[j, 0, :, m], current[m, j] = u, cross[j, :, u], vals[u, j]
+            pos = after[pos + k]
         if not improved:
             step *= cfg.refine_shrink
     return current, value, evals
@@ -374,9 +394,10 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
     for step in range(steps):
         total = coords.shape[0] + cfg.batch
         chosen = np.empty((0, spec.d))
-        for _slot in range(cfg.batch):
-            pick = _argmin_tiebreak(
-                axis, spec.d, _slot_scores(spec, axis, sums, chosen, total))
+        for slot in range(cfg.batch):
+            last = step + 1 == steps and slot + 1 == cfg.batch  # sums' last read
+            pick = _argmin_tiebreak(axis, spec.d, _slot_scores(
+                spec, axis, sums, chosen, total, sums if last else None))
             evals += sums.size
             chosen = np.vstack([chosen, _grid_points(axis, spec.d, np.array([pick]))])
         chosen, _, used = _pattern_search(spec, coords, chosen, total, cfg)

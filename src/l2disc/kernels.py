@@ -203,7 +203,7 @@ class KernelSpec:
 
     The factor callables take the coordinate index ``j`` as their last
     argument; unweighted measures ignore it, weighted ones use it to pick
-    gamma_j.  All callables broadcast over numpy arrays.
+    gamma_j.  All callables broadcast over numpy arrays, an index array j too.
 
     ``eb``, ``ec_uv`` and ``ec_uu`` are scalars for unweighted measures and
     length-d arrays for the weighted ones; ``eb`` is 0.0 for ``per``, whose

@@ -57,6 +57,7 @@ from .core import (
     check_count,
     check_seed,
 )
+from .evaluator import _SUM_BLOCK
 from .kernels import b_rows, c_cross, kernel_spec
 
 __all__ = [
@@ -254,16 +255,19 @@ def mc_expected_iid(
     seed = check_seed(seed)
     gen = np.random.Generator(np.random.Philox(seed))
 
-    # keep chunk * n * n floats bounded; fixed policy so streams reproduce
-    chunk = max(1, min(4096, (1 << 22) // max(n * n, 1)))
+    chunk = max(1, min(4096, (1 << 22) // max(n * n, 1)))  # fixes streams and sums
+    sub = max(1, _SUM_BLOCK // (n * n))  # sets per evaluation, to bound memory
     s1 = 0.0
     s2 = 0.0
     left = replications
     while left > 0:
         r = min(chunk, left)
         sets = gen.random((r, n, d))
-        vals = (spec.a - 2.0 * b_rows(spec, sets).sum(axis=1) / n
-                + c_cross(spec, sets, sets).sum(axis=(1, 2)) / (n * n))
+        vals = np.empty(r)
+        for s0 in range(0, r, sub):
+            part = sets[s0:s0 + sub]
+            vals[s0:s0 + sub] = (spec.a - 2.0 * b_rows(spec, part).sum(axis=1) / n
+                                 + c_cross(spec, part, part).sum(axis=(1, 2)) / (n * n))
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
         left -= r

@@ -119,6 +119,12 @@ MC_EXPECTED_IID = {
     "star": "0x1.c19ceaf2eb8bap-6",
     "ctr_weighted": "0x1.1a509d7d2134fp-4",
 }
+# mc_expected_iid("sym", 4, 2, 10 000, seed=5): three accumulation chunks
+MC_EXPECTED_IID_CHUNKED = ("0x1.c7d1f2fc8edafp-7", "0x1.e719d609a23cfp-15")
+# greedy_extend(mix, iid_uniform(64, 3), 2 steps, batch 2, grid_k 17) with the
+# default pattern-search budget: final value and sha256 of the final coords
+GREEDY_PATTERN = ("0x1.8240a00674d80p-10",
+                  "d005a6eac6142fc2b390bc2bd70e4bd1743e98dc5e4d983d38b7ed5192ece860")
 OPTIMIZE_PER_FINAL = "0x1.a7fb9cdbdfc58p-8"
 # geometric oracle (mean, stderr) on iid_uniform(8, d) with 70 000 anchors:
 # one full accumulation chunk and a partial second one
@@ -198,6 +204,19 @@ def test_greedy_extend_final(measure, points):
 def test_mc_expected_iid(measure):
     est = mc_expected_iid(measure, 5, 2, 300, 3, gamma=_gamma(measure, 2))
     assert float(est.mean).hex() == MC_EXPECTED_IID[measure]
+
+
+def test_mc_expected_iid_chunked():
+    est = mc_expected_iid("sym", 4, 2, 10_000, 5)
+    assert (float(est.mean).hex(), float(est.stderr).hex()) == MC_EXPECTED_IID_CHUNKED
+
+
+def test_greedy_extend_pattern_scale():
+    start = iid_uniform(64, 3, seed=SEED)
+    final, trace = greedy_extend(_spec("mix"), start, 2,
+                                 GreedyConfig(batch=2, grid_k=17))
+    digest = hashlib.sha256(np.ascontiguousarray(final.coords).tobytes()).hexdigest()
+    assert (float(trace.final_value).hex(), digest) == GREEDY_PATTERN
 
 
 @pytest.mark.parametrize("case", sorted(MC_SQUARED))

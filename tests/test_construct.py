@@ -393,6 +393,19 @@ class TestSlotScores:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
 
+    def test_last_slot_scores_into_the_base_sums(self):
+        # a one-step, one-slot call reads the base sums for the last time
+        # while it scores, so it holds one 65^3 float vector (2.1 MiB), not two
+        spec = kernel_spec("sym", 3)
+        start = iid_uniform(16, 3, seed=67)
+        tracemalloc.start()
+        try:
+            greedy_extend(spec, start, 1, GreedyConfig(batch=1, grid_k=65))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
 
 class TestBatchedSweeps:
     @settings(max_examples=40, deadline=None)
@@ -445,3 +458,46 @@ class TestBatchedSweeps:
             mp.setattr(construct, "_add_cross_rows", checked)
             greedy_extend(spec, start, 3, cfg)
         assert len(rows) == 3
+
+    # bases of up to 80 rows make a trial's n·b cross terms longer than
+    # numpy's 8-term unrolled sum, and past its 128-term pairwise block
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        n=st.integers(1, 80),
+        d=st.integers(1, 4),
+        batch=st.integers(1, 3),
+        budget=st.sampled_from([1, 7, 50, 2_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="sym_weighted", n=80, d=4, batch=3, budget=2_000, seed=0)
+    @example(tag="ctr_weighted", n=65, d=3, batch=2, budget=2_000, seed=1)
+    def test_matches_sequential_trials_at_scale(self, tag, n, d, batch, budget, seed):
+        spec = _spec(tag, d)
+        base = iid_uniform(n, d, seed=seed).coords
+        start = iid_uniform(batch, d, seed=seed + 1).coords
+        cfg = GreedyConfig(batch=batch, grid_k=9, refine_min_step=1e-4,
+                           max_refine_evaluations=budget)
+        got = _pattern_search(spec, base, start, n + batch, cfg)
+        want = _sequential_pattern_search(spec, base, start, n + batch, cfg)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+
+    @pytest.mark.parametrize("tag", ["star", "mix", "sym_weighted"])
+    def test_later_trials_see_moves_made_earlier_in_the_sweep(self, tag):
+        # from the all-0 corner the first sweep takes every +step move, so
+        # point 0 has moved on each axis before points 1 and 2 are tried on
+        # it: their pair terms must use its new coordinate
+        spec = _spec(tag, 2)
+        base = iid_uniform(20, 2, seed=3).coords
+        start = np.zeros((3, 2))
+        first = _sequential_pattern_search(
+            spec, base, start, 23, GreedyConfig(batch=3, grid_k=9,
+                                                max_refine_evaluations=7))
+        assert np.array_equal(first[0], start + 0.125)
+        for budget in range(40):
+            cfg = GreedyConfig(batch=3, grid_k=9, max_refine_evaluations=budget)
+            got = _pattern_search(spec, base, start, 23, cfg)
+            want = _sequential_pattern_search(spec, base, start, 23, cfg)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1] and got[2] == want[2]

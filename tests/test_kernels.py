@@ -178,6 +178,24 @@ class TestKernelSymmetry:
             np.testing.assert_array_equal(left, right)
 
 
+class TestAxisArrays:
+    # greedy's pattern search evaluates all axes in one call with j an
+    # array of axes; each entry must get its own axis's factor, bit for bit
+    @pytest.mark.parametrize("spec", ALL_SPECS[:-2] + [
+        kernel_spec("ctr_weighted", 3, gamma=[0.3, 1.7, 4.9]),
+        kernel_spec("sym_weighted", 3, gamma=[0.3, 1.7, 4.9]),
+    ], ids=lambda s: s.measure.value)
+    def test_index_array_matches_per_axis_calls(self, spec):
+        rng = np.random.Generator(np.random.Philox(5))
+        x, z = rng.random((spec.d, 7, 1)), rng.random((spec.d, 1, 5))
+        axes = np.arange(spec.d)
+        c = spec.c_col(x, z, axes[:, None, None])
+        b = spec.b_col(x[..., 0], axes[:, None])
+        for j in range(spec.d):
+            np.testing.assert_array_equal(c[j], spec.c_col(x[j], z[j], j))
+            np.testing.assert_array_equal(b[j], spec.b_col(x[j, :, 0], j))
+
+
 class TestContinuityNearKinks:
     @pytest.mark.parametrize(
         "spec", [s for s in ALL_SPECS if s.continuous], ids=lambda s: s.measure.value

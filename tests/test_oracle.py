@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ class TestMcExpectedIid:
     def test_rejects_non_integer_dimension(self):
         with pytest.raises(ValidationError, match="d must be an integer"):
             mc_expected_iid("star", 3, 2.5, 10, seed=0)
+
+    def test_peak_memory_is_block_sized(self):
+        # 512 sets of 64 points: one (512, 64, 64) kernel batch would be 16 MiB
+        tracemalloc.start()
+        try:
+            mc_expected_iid("sym", 64, 3, 512, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_reproducible(self):
         a = mc_expected_iid("ctr", n=4, d=2, replications=5_000, seed=29)
