@@ -18,9 +18,9 @@ a flat JSON object with sorted keys — next to its primary output
 (``<out>.run.json``) and prints it to stdout.  Measured elapsed time
 goes to stderr only and is serialized as null, so rerunning a command
 with identical flags and seeds reproduces every output file
-bit-for-bit.  The DISC_THREADS environment variable caps worker
-parallelism; evaluation is single-threaded and deterministic, so any
-setting produces identical bytes.
+bit-for-bit.  The DISC_THREADS environment variable is validated (exit
+2 on a non-integer or non-positive value) and has no other effect:
+evaluation is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ from .evaluator import squared_discrepancy
 from .generators import fibonacci_lattice, grid, iid_uniform, replicated_point, sobol
 from .kernels import kernel_spec
 from .oracle import mc_squared_discrepancy
-from .pathology import pathology_table, reference_row
+from .pathology import PathologyRow, pathology_table, reference_row
 from .reference import (
     TABLE3_NS,
     TABLE3_OPT,
@@ -69,8 +69,6 @@ from .reference import (
 )
 
 __all__ = ["main", "RunRecord", "read_points", "write_points"]
-
-_GEN_KINDS = ("iid", "sobol", "point", "fib", "grid")
 
 _CROSSEVAL_MEASURES = ("star", "ext", "per", "ctr", "sym", "asd")
 
@@ -251,35 +249,27 @@ def _load_input_set(args) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
+#: gen kinds: the flags each needs (argparse dests) and its builder
+_GENERATORS = {
+    "iid": (("n", "d"), lambda a: iid_uniform(a.n, a.d, a.seed)),
+    "sobol": (("n", "d"), lambda a: sobol(a.n, a.d)),
+    "point": (("point", "n"), lambda a: replicated_point(
+        _parse_floats("--point", a.point), a.n)),
+    "fib": (("n",), lambda a: fibonacci_lattice(a.n)),
+    "grid": (("grid_k", "d"), lambda a: grid(a.grid_k, a.d)),
+}
+
+
 def _cmd_gen(args) -> int:
     started = time.perf_counter()
     kind = args.kind
-    seeds = ()
-    if kind == "iid":
-        if args.n is None or args.d is None:
-            raise ValidationError("gen iid needs --n and --d")
-        points = iid_uniform(args.n, args.d, args.seed)
-        seeds = (args.seed,)
-    elif kind == "sobol":
-        if args.n is None or args.d is None:
-            raise ValidationError("gen sobol needs --n and --d")
-        points = sobol(args.n, args.d)
-    elif kind == "point":
-        if args.point is None or args.n is None:
-            raise ValidationError("gen point needs --point and --n")
-        coords = _parse_floats("--point", args.point)
-        points = replicated_point(coords, args.n)
-    elif kind == "fib":
-        if args.n is None:
-            raise ValidationError("gen fib needs --n")
-        points = fibonacci_lattice(args.n)
-    elif kind == "grid":
-        if args.grid_k is None or args.d is None:
-            raise ValidationError("gen grid needs --grid-k and --d")
-        points = grid(args.grid_k, args.d)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown generator kind {kind!r}")
+    needs, build = _GENERATORS[kind]
+    if any(getattr(args, dest) is None for dest in needs):
+        flags = " and ".join("--" + dest.replace("_", "-") for dest in needs)
+        raise ValidationError(f"gen {kind} needs {flags}")
+    points = build(args)
     write_points(args.out, points)
+    seeds = (args.seed,) if kind == "iid" else ()
     record = _record("gen", n=points.n, d=points.d, seeds=seeds, kind=kind,
                      out=args.out)
     _emit_record(record, args.out, started)
@@ -321,14 +311,8 @@ def _cmd_pathology(args) -> int:
     if args.d is None or args.d < 1:
         raise ValidationError("pathology needs --d (maximum dimension) >= 1")
     rows = pathology_table(range(1, args.d + 1))
-    header = ["measure", "d", "n_times_expected", "anchor", "single_value",
-              "threshold", "table1_match", "expected_match", "single_match",
-              "threshold_match", "notes"]
-    _write_csv(args.out, header, (
-        [r.measure.value, r.d, r.n_times_expected, r.anchor, r.single_value,
-         r.threshold, r.table1_match, r.expected_match, r.single_match,
-         r.threshold_match, r.notes]
-        for r in rows))
+    _write_csv(args.out, [f.name for f in fields(PathologyRow)],
+               (astuple(r) for r in rows))
     mismatches = sorted({r.measure.value for r in rows
                          if r.table1_match == "mismatch"})
     record = _record("pathology", d=args.d, out=args.out,
@@ -405,10 +389,7 @@ def _cmd_crosseval(args) -> int:
         if not os.path.exists(path):
             raise ValidationError(f"missing optimized set file {path}")
         sets[m] = read_points(path)
-    ratios = cross_evaluate(sets, measures)
-    header = ["evaluated_measure"] + [f"optimized_for_{m}" for m in measures]
-    _write_csv(args.out, header, (
-        [m] + list(ratios[i]) for i, m in enumerate(measures)))
+    ratios = _write_ratios(args.out, sets, measures)
     record = _record("crosseval", d=next(iter(sets.values())).d,
                      measures=measures, out=args.out,
                      min_offdiag=float(min(ratios[i, k]
@@ -443,7 +424,16 @@ def _rel_dev(computed: float, published: float) -> float:
     return (computed - published) / published
 
 
-def _tables_table1(out_dir: str) -> str:
+def _write_ratios(path: str, sets: dict, measures: list) -> np.ndarray:
+    """Write the cross-evaluation ratio matrix of ``sets`` as CSV."""
+    ratios = cross_evaluate(sets, measures)
+    header = ["evaluated_measure"] + [f"optimized_for_{m}" for m in measures]
+    _write_csv(path, header, (
+        [m] + list(ratios[i]) for i, m in enumerate(measures)))
+    return ratios
+
+
+def _tables_table1(out_dir: str, preset: str, seed: int) -> list:
     path = os.path.join(out_dir, "table1.csv")
     header = ["measure", "d",
               "n_times_expected", "published_n_times_expected",
@@ -464,10 +454,10 @@ def _tables_table1(out_dir: str) -> str:
             r.table1_match, r.expected_match, r.single_match,
             r.threshold_match, r.notes])
     _write_csv(path, header, rows)
-    return path
+    return [path]
 
 
-def _tables_table3(out_dir: str, preset: str, seed: int) -> str:
+def _tables_table3(out_dir: str, preset: str, seed: int) -> list:
     path = os.path.join(out_dir, "table3.csv")
     header = ["measure", "n", "opt_root", "published_opt",
               "opt_rel_dev", "sobol_root", "published_sobol",
@@ -484,10 +474,10 @@ def _tables_table3(out_dir: str, preset: str, seed: int) -> str:
                 sob, TABLE3_SOBOL[measure][n],
                 _rel_dev(sob, TABLE3_SOBOL[measure][n])])
     _write_csv(path, header, rows)
-    return path
+    return [path]
 
 
-def _tables_table4(out_dir: str, preset: str, seed: int) -> str:
+def _tables_table4(out_dir: str, preset: str, seed: int) -> list:
     path = os.path.join(out_dir, "table4.csv")
     header = ["measure", "n", "opt_root", "published_opt", "opt_rel_dev"]
     rows = []
@@ -497,7 +487,7 @@ def _tables_table4(out_dir: str, preset: str, seed: int) -> str:
             rows.append([measure, n, opt, TABLE4_OPT[measure][n],
                          _rel_dev(opt, TABLE4_OPT[measure][n])])
     _write_csv(path, header, rows)
-    return path
+    return [path]
 
 
 def _tables_fig2(out_dir: str, preset: str, seed: int) -> list:
@@ -513,29 +503,26 @@ def _tables_fig2(out_dir: str, preset: str, seed: int) -> list:
                                 OptimizerConfig(restarts=restarts,
                                                 iterations=iters, seed=seed))
             sets[m] = final
-        ratios = cross_evaluate(sets, measures)
         path = os.path.join(out_dir, f"fig2_n{n}.csv")
-        header = ["evaluated_measure"] + [f"optimized_for_{m}"
-                                          for m in measures]
-        _write_csv(path, header, (
-            [m] + list(ratios[i]) for i, m in enumerate(measures)))
+        _write_ratios(path, sets, measures)
         paths.append(path)
     return paths
+
+
+#: tables --which: each writer takes (out_dir, preset, seed) and returns
+#: the paths it wrote
+_TABLES = {
+    "table1": _tables_table1,
+    "table3": _tables_table3,
+    "table4": _tables_table4,
+    "fig2": _tables_fig2,
+}
 
 
 def _cmd_tables(args) -> int:
     started = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    if args.which == "table1":
-        outputs = [_tables_table1(args.out)]
-    elif args.which == "table3":
-        outputs = [_tables_table3(args.out, args.preset, args.seed)]
-    elif args.which == "table4":
-        outputs = [_tables_table4(args.out, args.preset, args.seed)]
-    elif args.which == "fig2":
-        outputs = _tables_fig2(args.out, args.preset, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown table {args.which!r}")
+    outputs = _TABLES[args.which](args.out, args.preset, args.seed)
     record = _record("tables", seeds=(args.seed,), which=args.which,
                      preset=args.preset,
                      outputs=[os.path.basename(p) for p in outputs])
@@ -564,8 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, *, measure=False, gamma=False, out_required=True):
         if measure:
             p.add_argument("--measure", required=True,
-                           help="measure id, e.g. star, ext, per, ctr, cad, "
-                                "sym, mix, asd, ctr_weighted, sym_weighted")
+                           help="measure id, e.g. " + ", ".join(
+                               m.value for m in MeasureId))
         if gamma:
             p.add_argument("--gamma", default=None,
                            help="comma list of per-coordinate weights "
@@ -574,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output path")
 
     p = sub.add_parser("gen", help="generate a point set CSV")
-    p.add_argument("kind", choices=_GEN_KINDS)
+    p.add_argument("kind", choices=tuple(_GENERATORS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -634,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce published tables")
     p.add_argument("--which", required=True,
-                   choices=("table1", "table3", "table4", "fig2"))
+                   choices=tuple(_TABLES))
     p.add_argument("--preset", default="smoke",
                    choices=tuple(_PRESET_BUDGETS))
     p.add_argument("--seed", type=int, default=0)

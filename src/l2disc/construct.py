@@ -45,6 +45,7 @@ from .core import (
     PointSet,
     ValidationError,
     check_count,
+    check_positive,
     check_seed,
 )
 from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
@@ -92,10 +93,9 @@ class GreedyConfig:
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValidationError(
                 f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
-        if self.refine_initial_step is not None and self.refine_initial_step <= 0:
-            raise ValidationError("refine_initial_step must be positive")
-        if self.refine_min_step <= 0:
-            raise ValidationError("refine_min_step must be positive")
+        if self.refine_initial_step is not None:
+            check_positive("refine_initial_step", self.refine_initial_step)
+        check_positive("refine_min_step", self.refine_min_step)
         check_count("max_refine_evaluations", self.max_refine_evaluations, 0)
 
 
@@ -121,18 +121,14 @@ class OptimizerConfig:
     patience: int = 2_000
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.iterations < 1:
-            raise ValidationError(
-                f"iterations must be >= 1, got {self.iterations}")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValidationError("initial_step must be positive")
+        check_count("restarts", self.restarts, 1)
+        check_count("iterations", self.iterations, 1)
+        if self.initial_step is not None:
+            check_positive("initial_step", self.initial_step)
         if not 0.0 < self.step_decay <= 1.0:
             raise ValidationError(
                 f"step_decay must lie in (0, 1], got {self.step_decay}")
-        if self.decay_interval < 1:
-            raise ValidationError("decay_interval must be >= 1")
+        check_count("decay_interval", self.decay_interval, 1)
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(
                 f"momentum must lie in [0, 1), got {self.momentum}")
@@ -140,10 +136,8 @@ class OptimizerConfig:
             raise ValidationError(
                 f"unknown projection rule {self.projection!r}; "
                 "only 'clamp' (coordinatewise clip to [0,1]) is supported")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.patience < 1:
-            raise ValidationError("patience must be >= 1")
+        check_positive("tolerance", self.tolerance)
+        check_count("patience", self.patience, 1)
         check_seed(self.seed)
 
 
@@ -407,12 +401,11 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
         coords = np.vstack([coords, chosen])
         values.append(squared_discrepancy(spec, PointSet(coords)).value)
     final = PointSet(coords)
-    final_value = squared_discrepancy(spec, final).value
     trace = Trace(
         values=tuple(values),
         best_values=_running_min(values),
         final=final,
-        final_value=final_value,
+        final_value=values[-1],
         winner_restart=0,
         evaluations=evals,
     )

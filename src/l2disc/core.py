@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,6 +153,13 @@ def check_count(name: str, count, least: int) -> int:
             or count < least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {count!r}")
     return int(count)
+
+
+def check_positive(name: str, value) -> None:
+    """ValidationError unless value is a finite real number > 0."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PointSet, ValidationError, check_seed
+from .core import PointSet, ValidationError, check_count, check_seed
 
 __all__ = [
     "DirectionNumbers",
@@ -65,13 +65,12 @@ class DirectionNumbers:
                     f"direction row for dimension {dim}: need s >= 1 initial "
                     f"values m_1..m_s, got s={s} with {len(m)} values"
                 )
-            if a < 0 or a >= (1 << max(s - 1, 0)) + (1 if s == 1 else 0):
+            if not 0 <= a < 1 << (s - 1):
                 # coefficient bits a_1..a_{s-1}; degree-1 polynomials have none
-                if not (s == 1 and a == 0):
-                    raise ValidationError(
-                        f"direction row for dimension {dim}: coefficient {a} "
-                        f"out of range for degree {s}"
-                    )
+                raise ValidationError(
+                    f"direction row for dimension {dim}: coefficient {a} "
+                    f"out of range for degree {s}"
+                )
             for i, mi in enumerate(m, start=1):
                 if mi % 2 == 0 or not (0 < mi < (1 << i)):
                     raise ValidationError(
@@ -156,11 +155,7 @@ def sobol(n: int, d: int, direction_numbers: "DirectionNumbers | None" = None) -
     rather than the Gray-code ordering some libraries emit.  Coordinates
     are exact dyadic rationals with denominator 2^ceil(log2 n).
     """
-    n, d = int(n), int(d)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
+    n, d = check_count("n", n, 1), check_count("d", d, 1)
     dirs = direction_numbers if direction_numbers is not None else DirectionNumbers.default()
     if d > dirs.max_dimension:
         raise ValidationError(
@@ -184,27 +179,21 @@ def sobol(n: int, d: int, direction_numbers: "DirectionNumbers | None" = None) -
 
 def iid_uniform(n: int, d: int, seed: int) -> PointSet:
     """n IID uniform points on [0,1)^d from a Philox stream keyed by seed."""
-    n, d = int(n), int(d)
-    if n < 1 or d < 1:
-        raise ValidationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = check_count("n", n, 1), check_count("d", d, 1)
     gen = np.random.Generator(np.random.Philox(check_seed(seed)))
     return PointSet(gen.random((n, d)))
 
 
 def replicated_point(p, n: int) -> PointSet:
     """n copies of a single point (degenerate designs used by diagnostics)."""
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = check_count("n", n, 1)
     arr = np.asarray(p, dtype=np.float64).reshape(1, -1)
     return PointSet(np.repeat(arr, n, axis=0))
 
 
 def fibonacci_lattice(n: int) -> PointSet:
     """Two-dimensional golden-ratio lattice {(i/n, frac(i*phi))}."""
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = check_count("n", n, 1)
     i = np.arange(n, dtype=np.float64)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     coords = np.column_stack([i / n, np.mod(i * phi, 1.0)])
@@ -217,9 +206,7 @@ def grid(k: int, d: int) -> PointSet:
     Rows are emitted in row-major order of the index tuple, so the output
     order is deterministic.
     """
-    k, d = int(k), int(d)
-    if k < 1 or d < 1:
-        raise ValidationError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
+    k, d = check_count("k", k, 1), check_count("d", d, 1)
     axis = (np.arange(k, dtype=np.float64) + 0.5) / k
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     coords = np.column_stack([m.reshape(-1) for m in mesh])

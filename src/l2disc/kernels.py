@@ -39,7 +39,6 @@ max/min contribute slope one-half.  With these choices the diagonal pair
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,11 +51,6 @@ __all__ = ["KernelSpec", "kernel_spec", "expectation_constants"]
 # ---------------------------------------------------------------------------
 # per-measure factor definitions (vectorized over numpy arrays)
 # ---------------------------------------------------------------------------
-
-
-def _sign(x):
-    # numpy sign already maps 0 -> 0, the subgradient convention we document
-    return np.sign(x)
 
 
 def _b_star(x):
@@ -99,7 +93,7 @@ def _c_per(x, z):
 
 def _dc_per(x, z):
     t = x - z
-    return -_sign(t) + 2.0 * t
+    return -np.sign(t) + 2.0 * t
 
 
 def _b_ctr(x):
@@ -109,7 +103,7 @@ def _b_ctr(x):
 
 def _db_ctr(x):
     u = x - 0.5
-    return 0.5 * _sign(u) - u
+    return 0.5 * np.sign(u) - u
 
 
 def _c_ctr(x, z):
@@ -117,7 +111,7 @@ def _c_ctr(x, z):
 
 
 def _dc_ctr(x, z):
-    return 0.5 * (_sign(x - 0.5) - _sign(x - z))
+    return 0.5 * (np.sign(x - 0.5) - np.sign(x - z))
 
 
 def _c_cad(x, z):
@@ -136,7 +130,7 @@ def _c_sym(x, z):
 
 
 def _dc_sym(x, z):
-    return -0.5 * _sign(x - z)
+    return -0.5 * np.sign(x - z)
 
 
 def _b_mix(x):
@@ -146,7 +140,7 @@ def _b_mix(x):
 
 def _db_mix(x):
     u = x - 0.5
-    return -_sign(u) / 4.0 - u / 2.0
+    return -np.sign(u) / 4.0 - u / 2.0
 
 
 def _c_mix(x, z):
@@ -160,7 +154,7 @@ def _c_mix(x, z):
 
 
 def _dc_mix(x, z):
-    return -_sign(x - 0.5) / 4.0 - 0.75 * _sign(x - z) + (x - z)
+    return -np.sign(x - 0.5) / 4.0 - 0.75 * np.sign(x - z) + (x - z)
 
 
 def _b_asd(x):
@@ -177,24 +171,23 @@ def _zero(x):
     return np.zeros(np.shape(x))
 
 
-# Unweighted measures: (B, B', C, dC/dx, A(d), continuous, geometric); a
-# factor shared by several measures is defined once, under the first of them
+# Unweighted measures: (B, B', C, dC/dx, A(d)); a factor shared by several
+# measures is defined once, under the first of them.  cad's kernel jumps at
+# 1/2, so it has no dC/dx and no gradient.
 _PLAIN = {
-    MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d, True, True),
-    MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d, True, True),
-    MeasureId.PER: (_zero, _zero, _c_per, _dc_per, lambda d: -(3.0 ** -d), True, True),
-    MeasureId.CTR: (_b_ctr, _db_ctr, _c_ctr, _dc_ctr, lambda d: 12.0 ** -d, True, True),
-    MeasureId.CAD: (_b_ext, _db_ext, _c_cad, None, lambda d: 12.0 ** -d, False, True),
-    MeasureId.SYM: (_b_ext, _db_ext, _c_sym, _dc_sym, lambda d: 12.0 ** -d, True, True),
-    MeasureId.MIX: (_b_mix, _db_mix, _c_mix, _dc_mix, lambda d: (7.0 / 12.0) ** d, True, False),
-    MeasureId.ASD: (_b_asd, _db_ext, _c_asd, _dc_sym, lambda d: 3.0 ** -d, True, True),
+    MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d),
+    MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d),
+    MeasureId.PER: (_zero, _zero, _c_per, _dc_per, lambda d: -(3.0 ** -d)),
+    MeasureId.CTR: (_b_ctr, _db_ctr, _c_ctr, _dc_ctr, lambda d: 12.0 ** -d),
+    MeasureId.CAD: (_b_ext, _db_ext, _c_cad, None, lambda d: 12.0 ** -d),
+    MeasureId.SYM: (_b_ext, _db_ext, _c_sym, _dc_sym, lambda d: 12.0 ** -d),
+    MeasureId.MIX: (_b_mix, _db_mix, _c_mix, _dc_mix, lambda d: (7.0 / 12.0) ** d),
+    MeasureId.ASD: (_b_asd, _db_ext, _c_asd, _dc_sym, lambda d: 3.0 ** -d),
 }
 
-# Weighted measures: the base measure their product weights apply to
-_WEIGHTED_BASE = {
-    MeasureId.CTR_WEIGHTED: MeasureId.CTR,
-    MeasureId.SYM_WEIGHTED: MeasureId.SYM,
-}
+# Measures with a set-based definition, which the Monte Carlo oracle
+# estimates: every unweighted measure but mix
+_GEOMETRIC = frozenset(_PLAIN) - {MeasureId.MIX}
 
 
 @dataclass(frozen=True)
@@ -281,20 +274,15 @@ def c_diag(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 # quadrature for the expectation constants
 # ---------------------------------------------------------------------------
 
-_GL_ORDER = 24
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int = _GL_ORDER):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# Gauss-Legendre nodes and weights on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 
 def _quad_interval(f, lo: float, hi: float) -> float:
     """Gauss-Legendre integral of f over [lo, hi] (empty intervals -> 0)."""
     if hi <= lo:
         return 0.0
-    x, w = _gl_nodes()
+    x, w = _GL_X, _GL_W
     half = (hi - lo) / 2.0
     nodes = lo + half * (x + 1.0)
     return float(half * np.dot(w, f(nodes)))
@@ -313,7 +301,7 @@ def _quad_triangle(f, lo: float, hi: float, lower: bool) -> float:
     iterated integrand polynomial whenever f is polynomial on the triangle,
     so the rule stays exact to rounding for the kernels here.
     """
-    x, w = _gl_nodes()
+    x, w = _GL_X, _GL_W
     half = (hi - lo) / 2.0
     u = lo + half * (x + 1.0)  # outer nodes, shape (k,)
     if lower:
@@ -328,7 +316,7 @@ def _quad_triangle(f, lo: float, hi: float, lower: bool) -> float:
 
 
 def _quad_rect(f, ulo, uhi, vlo, vhi) -> float:
-    x, w = _gl_nodes()
+    x, w = _GL_X, _GL_W
     uh, vh = (uhi - ulo) / 2.0, (vhi - vlo) / 2.0
     u = ulo + uh * (x + 1.0)
     v = vlo + vh * (x + 1.0)
@@ -429,12 +417,11 @@ def kernel_spec(
                 f"gamma has length {wv.d} but the point dimension is {d}"
             )
         g = wv.gamma
-        base = _WEIGHTED_BASE[measure]
+        base = MeasureId(measure.value.removesuffix("_weighted"))
         # A(1) rounds 1/12 but 1/A(1) rounds back to exactly 12, so the
         # division gives the correctly rounded g_j/12 where g_j * A(1) is an
         # ulp off for some g_j
         a = float(np.prod(1.0 + g / (1.0 / _PLAIN[base][4](1))))
-        continuous, geometric = True, False
     else:
         if gamma is not None:
             raise ValidationError(
@@ -442,16 +429,15 @@ def kernel_spec(
             )
         g = None
         base = measure
-        a_of_d, continuous, geometric = _PLAIN[measure][4:]
-        a = float(a_of_d(d))
+        a = float(_PLAIN[measure][4](d))
 
     b_col, b_prime_col, c_col, c_dx_col = _factor_columns(base, g)
     spec = KernelSpec(
         measure=measure,
         d=d,
         a=a,
-        continuous=continuous,
-        has_geometric_oracle=geometric,
+        continuous=c_dx_col is not None,
+        has_geometric_oracle=measure in _GEOMETRIC,
         gamma=g,
         b_col=b_col,
         b_prime_col=b_prime_col,

@@ -19,6 +19,9 @@ Test-region conventions per measure (x is a set point, a and b anchors):
         (membership x_j >= a_j on v_j = 1 coordinates, x_j < a_j on v_j = 0),
         which is the convention consistent with the closed form at boundary
         points.
+  asd   box between a and the cube vertex nearest a second anchor b, with
+        ctr's convention: the star box of one of the 2^d reflections, each
+        drawn with probability 2^-d, whose average asd is.
   cad   box between a and the center plane: [a_j, 1/2) when a_j <= 1/2,
         else [1/2, a_j) — so 1/2 itself belongs to the upper-anchored box.
   sym   union of even orthants: x is inside exactly when the number of
@@ -58,7 +61,7 @@ from .core import (
     check_seed,
 )
 from .evaluator import _SUM_BLOCK
-from .kernels import b_rows, c_cross, kernel_spec
+from .kernels import _GEOMETRIC, b_rows, c_cross, kernel_spec
 
 __all__ = [
     "OracleEstimate",
@@ -73,16 +76,7 @@ __all__ = [
 # boundaries define the floating-point summation order of an estimate).
 _CHUNK = 1 << 16
 
-_GEOMETRIC = (
-    MeasureId.STAR,
-    MeasureId.EXT,
-    MeasureId.PER,
-    MeasureId.CTR,
-    MeasureId.CAD,
-    MeasureId.SYM,
-)
-
-_NEEDS_SECOND_ANCHOR = (MeasureId.EXT, MeasureId.PER)
+_NEEDS_SECOND_ANCHOR = (MeasureId.EXT, MeasureId.PER, MeasureId.ASD)
 
 
 @dataclass(frozen=True)
@@ -131,23 +125,32 @@ def _region_inside_volume(
     elif measure is MeasureId.PER:
         lo, hi, flip = np.minimum(a, b), np.maximum(a, b), a > b
         volume = np.where(a <= b, b - a, 1.0 - a + b).prod(axis=1)
-    elif measure is MeasureId.CTR:
-        upper = a >= 0.5  # nearest vertex coordinate is 1; its end is closed
+    elif measure in (MeasureId.CTR, MeasureId.ASD):
+        # the box's vertex coordinate is 1 (its end is closed) where the
+        # anchor it is nearest to, a for ctr and b for asd, is >= 1/2
+        upper = (a if measure is MeasureId.CTR else b) >= 0.5
         lo, hi = np.where(upper, a, 0.0), np.where(upper, np.inf, a)
         volume = np.where(upper, 1.0 - a, a).prod(axis=1)
     elif measure is MeasureId.CAD:
         lo, hi = np.minimum(a, 0.5), np.maximum(a, 0.5)
         volume = np.abs(a - 0.5).prod(axis=1)
-    elif measure is MeasureId.SYM:
+    else:  # sym
         for x, aj in zip(coords.T, a.T):
             inside ^= x >= aj[:, None]
         return inside, (1.0 + (2.0 * a - 1.0).prod(axis=1)) / 2.0
-    else:  # pragma: no cover - guarded by _require_geometric
-        raise NoGeometricOracleError(str(measure))
     for j, x in enumerate(coords.T):
         hit = (x >= lo[:, j, None]) & (x < hi[:, j, None])
         inside &= hit if flip is None else hit ^ flip[:, j, None]
     return inside, volume
+
+
+def _estimate(s1: float, s2: float, count: int, seed: int) -> OracleEstimate:
+    """Mean and standard error of ``count`` draws from their sum s1 and
+    sum of squares s2."""
+    mean = s1 / count
+    var = max(s2 - count * mean * mean, 0.0) / (count - 1)
+    return OracleEstimate(mean=mean, stderr=math.sqrt(var / count),
+                          samples=count, seed=seed)
 
 
 def _outside_cube(arr) -> bool:
@@ -159,7 +162,7 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
     """Membership of a single point in one test region, with its volume.
 
     Returns (inside: bool, volume: float).  ``b`` is required for the
-    two-anchor measures (ext, per) and rejected otherwise.  For ext an
+    two-anchor measures (ext, per, asd) and rejected otherwise.  For ext an
     inverted anchor pair (some a_j > b_j) is a rejected draw: membership
     is False and the volume is 0, mirroring the indicator inside the
     closed-form integral.
@@ -230,9 +233,7 @@ def mc_squared_discrepancy(
         s1 += float(g.sum())
         s2 += float((g * g).sum())
         left -= m
-    mean = s1 / samples
-    var = max(s2 - samples * mean * mean, 0.0) / (samples - 1)
-    return OracleEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples, seed=seed)
+    return _estimate(s1, s2, samples, seed)
 
 
 def mc_expected_iid(
@@ -271,14 +272,7 @@ def mc_expected_iid(
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
         left -= r
-    mean = s1 / replications
-    var = max(s2 - replications * mean * mean, 0.0) / (replications - 1)
-    return OracleEstimate(
-        mean=mean,
-        stderr=math.sqrt(var / replications),
-        samples=replications,
-        seed=seed,
-    )
+    return _estimate(s1, s2, replications, seed)
 
 
 def even_subset_volume(a) -> float:

@@ -56,20 +56,6 @@ TABLE_MEASURES = (
     MeasureId.ASD,
 )
 
-_ANCHOR_TEXT = {
-    MeasureId.STAR: "all-ones vertex",
-    MeasureId.EXT: "any vertex",
-    MeasureId.PER: "any point",
-    MeasureId.CTR: "center",
-    MeasureId.CAD: "center",
-    MeasureId.MIX: "any vertex",
-    MeasureId.SYM: "center",
-    MeasureId.ASD: "center",
-    MeasureId.CTR_WEIGHTED: "center",
-    MeasureId.SYM_WEIGHTED: "center",
-}
-
-
 @dataclass(frozen=True)
 class ReferenceRow:
     """Published closed forms for one measure, each as a function of d.
@@ -185,7 +171,8 @@ def reference_row(measure: MeasureId) -> ReferenceRow:
 
 def anchor_description(measure: MeasureId) -> str:
     """Human-readable description of the measure's replicated anchor."""
-    return _ANCHOR_TEXT[MeasureId.parse(measure)]
+    measure = MeasureId.parse(measure)
+    return "center" if measure.weighted else _REFERENCE[measure].anchor
 
 
 def anchor_point(measure: MeasureId, d: int) -> np.ndarray:
@@ -195,9 +182,7 @@ def anchor_point(measure: MeasureId, d: int) -> np.ndarray:
     representative (the all-ones vertex, resp. the center); the value is
     location-independent for those measures, which the tests assert.
     """
-    measure = MeasureId.parse(measure)
-    text = _ANCHOR_TEXT[measure]
-    if text in ("all-ones vertex", "any vertex"):
+    if anchor_description(measure).endswith("vertex"):
         return np.ones(d)
     return np.full(d, 0.5)
 
@@ -244,6 +229,15 @@ def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
     return _constant_products(_spec_for(measure, d, gamma)) / n
 
 
+def _crossover(measure, d: int, gamma) -> tuple[float, float, float]:
+    """(J, single, t): n*E[D^2] of IID points, the replicated anchor's
+    value, and the crossover t = J / single (+inf if single <= 0)."""
+    j = _constant_products(_spec_for(measure, d, gamma))
+    single = single_point_value(measure, d, anchor_point(measure, d),
+                                gamma=gamma)
+    return j, single, (j / single if single > 0.0 else math.inf)
+
+
 def iid_threshold(measure, d: int, *, gamma=None) -> float:
     """Real t such that n IID points beat the replicated anchor iff n > t.
 
@@ -251,22 +245,12 @@ def iid_threshold(measure, d: int, *, gamma=None) -> float:
     numerator over the replicated anchor's value.  Returns +inf if the
     replicated anchor is never beaten (does not occur here).
     """
-    measure = MeasureId.parse(measure)
-    j = _constant_products(_spec_for(measure, d, gamma))
-    single = single_point_value(measure, d, anchor_point(measure, d),
-                                gamma=gamma)
-    if single <= 0.0:
-        return math.inf
-    return j / single
+    return _crossover(measure, d, gamma)[2]
 
 
 @lru_cache(maxsize=None)
-def _asd_comparison_constants(d: int) -> tuple[float, float]:
-    """(J, single-at-center) for the averaged-reflection measure."""
-    j = _constant_products(_unweighted_spec(MeasureId.ASD, d))
-    single = single_point_value(
-        MeasureId.ASD, d, anchor_point(MeasureId.ASD, d))
-    return j, single
+def _asd_crossover(d: int) -> tuple[float, float, float]:
+    return _crossover(MeasureId.ASD, d, None)
 
 
 def check_asd_superiority(d: int, n: int) -> bool:
@@ -277,7 +261,7 @@ def check_asd_superiority(d: int, n: int) -> bool:
     noise), and holds strictly everywhere else.
     """
     n = check_count("n", n, 1)
-    j, single = _asd_comparison_constants(d)
+    j, single, _ = _asd_crossover(d)
     return j / n < single
 
 
@@ -293,9 +277,7 @@ def pathology_row(measure, d: int) -> PathologyRow:
     """Computed row plus per-column comparison against the published table."""
     measure = MeasureId.parse(measure)
     ref = reference_row(measure)
-    n_e = expected_iid_squared(measure, 1, d)
-    single = single_point_value(measure, d, anchor_point(measure, d))
-    threshold = iid_threshold(measure, d)
+    n_e, single, threshold = _crossover(measure, d, None)
     expected_match = _flag(n_e, ref.n_times_expected(d))
     single_match = _flag(
         single, None if ref.single_value is None else ref.single_value(d))
@@ -307,7 +289,7 @@ def pathology_row(measure, d: int) -> PathologyRow:
         measure=measure,
         d=d,
         n_times_expected=n_e,
-        anchor=_ANCHOR_TEXT[measure],
+        anchor=ref.anchor,
         single_value=single,
         threshold=threshold,
         table1_match=overall,

@@ -238,6 +238,20 @@ class TestExitCodes:
         assert err.startswith("error: seed must be a nonnegative integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["gen", "iid", "--n", 3], "--n and --d"),
+        (["gen", "sobol", "--d", 2], "--n and --d"),
+        (["gen", "point", "--n", 3], "--point and --n"),
+        (["gen", "fib"], "--n"),
+        (["gen", "grid", "--d", 2], "--grid-k and --d"),
+    ])
+    def test_gen_kind_names_its_missing_flags(self, tmp_path, capsys, argv,
+                                              flags):
+        out = tmp_path / "g.csv"
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: gen {argv[1]} needs {flags}\n"
+        assert not out.exists()
+
     def test_oracle_names_missing_geometry(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 141))

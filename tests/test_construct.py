@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,24 @@ class TestConfigs:
             with pytest.raises(ValidationError, match="seed"):
                 OptimizerConfig(seed=seed)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3", 0])
+    @pytest.mark.parametrize("field", ["restarts", "iterations", "decay_interval",
+                                       "patience"])
+    def test_optimizer_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, "1"])
+    @pytest.mark.parametrize("config,field", [
+        (GreedyConfig, "refine_initial_step"), (GreedyConfig, "refine_min_step"),
+        (OptimizerConfig, "initial_step"), (OptimizerConfig, "tolerance"),
+    ])
+    def test_steps_and_tolerance_must_be_finite_and_positive(self, config, field,
+                                                             value):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be finite and positive"):
+            config(**{field: value})
+
 
 class TestGreedyExtend:
     def test_ctr_from_center_degenerates(self):
@@ -113,6 +132,14 @@ class TestGreedyExtend:
         assert len(trace.values) == 3
         fresh = squared_discrepancy(spec, final).value
         assert trace.final_value == pytest.approx(fresh, abs=1e-15)
+
+    @pytest.mark.parametrize("tag", ["star", "cad", "sym_weighted"])
+    def test_final_value_is_the_last_step_value(self, tag):
+        spec = _spec(tag, 2)
+        final, trace = greedy_extend(spec, sobol(3, 2), steps=2,
+                                     cfg=GreedyConfig(batch=2, grid_k=9))
+        fresh = squared_discrepancy(spec, final).value
+        assert trace.final_value == trace.values[-1] == fresh
 
     def test_batch_interaction_beats_doubled_single_candidate(self):
         # batch 2 must account for the within-batch pair term: both slots at

@@ -142,6 +142,11 @@ class TestDirectionNumbers:
         with pytest.raises(ValidationError, match="empty"):
             DirectionNumbers.from_text("", header=False)
 
+    def test_rejects_coefficient_on_degree_one_row(self):
+        # a degree-1 polynomial has no interior coefficient bits, so a = 0
+        with pytest.raises(ValidationError, match="coefficient 1"):
+            DirectionNumbers.from_text("2 1 1 1", header=False)
+
 
 class TestReplicatedPoint:
     def test_five_copies_of_vertex(self):
@@ -211,3 +216,23 @@ def test_c_cross_helper_matches_manual():
     direct = squared_discrepancy(spec, pts).value
     assert blocked == pytest.approx(direct, abs=1e-15)
     assert full.shape == (6, 6)
+
+
+@pytest.mark.parametrize("make,args", [
+    (sobol, (2.9, 2)),
+    (sobol, ("3", 2)),
+    (sobol, (4, 2.0)),
+    (iid_uniform, (True, 2, 0)),
+    (iid_uniform, (3.5, 2, 0)),
+    (iid_uniform, (3, "2", 0)),
+    (replicated_point, ((0.5, 0.5), 2.5)),
+    (replicated_point, ((0.5, 0.5), False)),
+    (fibonacci_lattice, (5.7,)),
+    (fibonacci_lattice, ("5",)),
+    (grid, (2.5, 2)),
+    (grid, (3, True)),
+    (grid, (0, 2)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_counts_must_be_integers(make, args):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        make(*args)

@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from l2disc import MeasureId, ValidationError, expectation_constants, kernel_spec
+from l2disc import (
+    MeasureId,
+    NoGeometricOracleError,
+    NonDifferentiableMeasureError,
+    PointSet,
+    ValidationError,
+    expectation_constants,
+    gradient,
+    kernel_spec,
+    mc_squared_discrepancy,
+)
 
 UNWEIGHTED = [
     MeasureId.STAR,
@@ -81,6 +91,24 @@ class TestStructuralFlags:
         for m in UNWEIGHTED:
             if m is not MeasureId.MIX:
                 assert kernel_spec(m, 2).has_geometric_oracle
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.measure.value)
+    def test_geometric_flag_is_whether_the_oracle_runs(self, spec):
+        try:
+            mc_squared_discrepancy(spec.measure, PointSet([[0.3, 0.6]]), 100, seed=0)
+        except NoGeometricOracleError:
+            assert not spec.has_geometric_oracle
+        else:
+            assert spec.has_geometric_oracle
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.measure.value)
+    def test_continuous_flag_is_whether_a_gradient_exists(self, spec):
+        try:
+            gradient(spec, PointSet([[0.3, 0.6], [0.8, 0.1]]))
+        except NonDifferentiableMeasureError:
+            assert not spec.continuous
+        else:
+            assert spec.continuous
 
 
 class TestValidation:

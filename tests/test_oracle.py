@@ -47,8 +47,9 @@ def _reference_membership(measure, x, a, b):
                 ok, length = aj <= xj < b[j], b[j] - aj
             else:
                 ok, length = xj < b[j] or xj >= aj, 1.0 - aj + b[j]
-        elif measure == "ctr":  # the vertex end is closed
-            if aj >= 0.5:
+        elif measure in ("ctr", "asd"):  # the vertex end is closed
+            # the vertex is the one nearest a (ctr) or nearest b (asd)
+            if (aj if measure == "ctr" else b[j]) >= 0.5:
                 ok, length = xj >= aj, 1.0 - aj
             else:
                 ok, length = xj < aj, aj
@@ -115,6 +116,13 @@ class TestBoxMembership:
         assert box_membership("cad", [0.6], [0.9]) == (True, pytest.approx(0.4))
         assert box_membership("cad", [0.1], [0.9])[0] is False
 
+    def test_asd_box_runs_to_the_vertex_nearest_b(self):
+        # b = 0.9 -> vertex 1, box [0.2, 1]; b = 0.1 -> vertex 0, box [0, 0.2)
+        assert box_membership("asd", [0.3], [0.2], [0.9]) == (True, pytest.approx(0.8))
+        assert box_membership("asd", [0.3], [0.2], [0.1]) == (False, pytest.approx(0.2))
+        with pytest.raises(ValidationError, match="second anchor"):
+            box_membership("asd", [0.3], [0.2])
+
     def test_second_anchor_policy(self):
         with pytest.raises(ValidationError, match="second anchor"):
             box_membership("ext", [0.5], [0.2])
@@ -136,14 +144,14 @@ class TestBoxMembership:
             box_membership(measure, *args)
 
 
-    @pytest.mark.parametrize("measure", ["star", "ext", "per", "ctr", "cad", "sym"])
+    @pytest.mark.parametrize("measure", ["star", "ext", "per", "ctr", "cad", "sym", "asd"])
     def test_quarter_grid_ties_match_reference(self, measure):
         # on the quarter grid x = a, a = 1/2 and a = b all occur often, and
         # every volume is exact, so both results must match exactly
         rng = np.random.Generator(np.random.Philox(71))
         for d in (1, 2, 3):
             for x, a, b in rng.choice(QUARTERS, size=(300, 3, d)):
-                b = b if measure in ("ext", "per") else None
+                b = b if measure in ("ext", "per", "asd") else None
                 got = box_membership(measure, x, a, b)
                 assert got == _reference_membership(measure, x, a, b), (x, a, b)
 
@@ -175,7 +183,7 @@ class TestMcSquaredDiscrepancy:
         est = mc_squared_discrepancy("cad", PointSet([[0.5]]), 200_000, seed=3)
         assert abs(est.mean - 1 / 3) < 4 * est.stderr
 
-    @pytest.mark.parametrize("tag", ["star", "ext", "per", "ctr", "cad", "sym"])
+    @pytest.mark.parametrize("tag", ["star", "ext", "per", "ctr", "cad", "sym", "asd"])
     def test_agrees_with_closed_form(self, tag):
         pts = iid_uniform(8, 2, 53)
         closed = squared_discrepancy(kernel_spec(tag, 2), pts).value

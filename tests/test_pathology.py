@@ -22,7 +22,12 @@ from l2disc import (
     single_point_value,
     squared_discrepancy,
 )
-from l2disc.pathology import TABLE_MEASURES, anchor_point, reference_row
+from l2disc.pathology import (
+    TABLE_MEASURES,
+    anchor_description,
+    anchor_point,
+    reference_row,
+)
 
 
 class TestSinglePointValue:
@@ -221,6 +226,25 @@ class TestPathologyRows:
     def test_reference_row_rejects_weighted(self):
         with pytest.raises(ValidationError):
             reference_row(MeasureId.CTR_WEIGHTED)
+
+    @pytest.mark.parametrize("measure", TABLE_MEASURES, ids=lambda m: m.value)
+    def test_anchor_description_is_the_reference_anchor(self, measure):
+        assert anchor_description(measure) == reference_row(measure).anchor
+        assert pathology_row(measure, 2).anchor == reference_row(measure).anchor
+
+    def test_weighted_measures_replicate_the_center(self):
+        for measure in (MeasureId.CTR_WEIGHTED, MeasureId.SYM_WEIGHTED):
+            assert anchor_description(measure) == "center"
+            np.testing.assert_array_equal(anchor_point(measure, 3), [0.5] * 3)
+
+    @pytest.mark.parametrize("measure", TABLE_MEASURES, ids=lambda m: m.value)
+    def test_row_numbers_are_the_public_functions_bit_for_bit(self, measure):
+        for d in (1, 3, 7):
+            row = pathology_row(measure, d)
+            assert row.n_times_expected == expected_iid_squared(measure, 1, d)
+            assert row.single_value == single_point_value(
+                measure, d, anchor_point(measure, d))
+            assert row.threshold == iid_threshold(measure, d)
 
 
 class TestAnchorIndependence:
