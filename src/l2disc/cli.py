@@ -159,33 +159,38 @@ def write_points(path: str, points: PointSet) -> None:
 
 def read_points(path: str) -> PointSet:
     """Parse a point-set CSV, with row/column diagnostics on bad cells."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty point-set file") from None
-        expected = [f"x{j + 1}" for j in range(len(header))]
-        if [h.strip() for h in header] != expected:
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValidationError(f"{path}: cannot read: {reason}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty point-set file") from None
+    expected = [f"x{j + 1}" for j in range(len(header))]
+    if [h.strip() for h in header] != expected:
+        raise ValidationError(
+            f"{path}: header {header!r} does not match x1..x{len(header)}")
+    d = len(header)
+    rows = []
+    for i, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != d:
             raise ValidationError(
-                f"{path}: header {header!r} does not match x1..x{len(header)}")
-        d = len(header)
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != d:
+                f"{path}: row {i} has {len(row)} fields, expected {d}")
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise ValidationError(
-                    f"{path}: row {i} has {len(row)} fields, expected {d}")
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {i}, column x{j + 1}: "
-                        f"not a number: {cell!r}") from None
-            rows.append(parsed)
+                    f"{path}: row {i}, column x{j + 1}: "
+                    f"not a number: {cell!r}") from None
+        rows.append(parsed)
     if not rows:
         raise ValidationError(f"{path}: no points in file")
     try:
@@ -541,9 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Unified L2 discrepancy toolkit: closed forms, "
                     "geometric Monte-Carlo oracle, pathology analysis, and "
                     "point-set construction.",
-        epilog="DISC_THREADS caps worker parallelism (evaluation is "
-               "single-threaded and deterministic, so results are "
-               "bit-identical at any setting).")
+        epilog="DISC_THREADS is validated (exit 2 on a non-integer or "
+               "non-positive value) and has no other effect: evaluation is "
+               "single-threaded and deterministic.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

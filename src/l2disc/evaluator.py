@@ -38,7 +38,7 @@ __all__ = [
 _ASD_REFLECTION_MAX_D = 20
 # floats in one (T, n) tile of value_and_gradient: T = max(1, this // (n d))
 _TILE_FLOATS = 1 << 19
-# floats per squared_value row block and greedy chunk
+# floats per value block and greedy chunk
 _SUM_BLOCK = 1 << 14
 
 
@@ -64,13 +64,26 @@ def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     are alive at once.  `squared_discrepancy` adds types and the
     negative-value guard; the optimizers run on `value_and_gradient`.
     """
-    coords = _checked_coords(spec, coords)
-    n = coords.shape[0]
-    step = max(1, _SUM_BLOCK // n)
-    row_sums = np.empty(n)
-    for i0 in range(0, n, step):
-        c_cross(spec, coords[i0:i0 + step], coords).sum(axis=1, out=row_sums[i0:i0 + step])
-    return _combine(spec, n, b_rows(spec, coords).sum(), row_sums)
+    return _values(spec, _checked_coords(spec, coords)[None])[0]
+
+
+def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
+    """Each set's `squared_value`, bit for bit, for an (r, n, d) stack."""
+    r, n, _ = sets.shape
+    row_sums = np.empty((r, n))
+    step = _SUM_BLOCK // (n * n)
+    if r > 1 and step > 1:  # kernel blocks of several whole sets
+        for s0 in range(0, r, step):
+            part = sets[s0:s0 + step]
+            c_cross(spec, part, part).sum(axis=2, out=row_sums[s0:s0 + step])
+    else:  # kernel blocks of whole rows of one set
+        step = max(1, _SUM_BLOCK // n)
+        for s, x in enumerate(sets):
+            for i0 in range(0, n, step):
+                c_cross(spec, x[i0:i0 + step], x).sum(axis=1, out=row_sums[s, i0:i0 + step])
+    # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
+    b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
+    return [_combine(spec, n, b, rows) for b, rows in zip(b_sums.tolist(), row_sums)]
 
 
 def _combine(spec: KernelSpec, n: int, b_sum, row_sums: np.ndarray) -> float:

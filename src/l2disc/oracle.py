@@ -4,8 +4,8 @@ Each measure with a set-based definition is estimated directly from its
 geometry: draw random anchor points, form the test region, compare the
 empirical point count against the region volume, and average the squared
 local discrepancy.  The geometric estimators never touch the kernel closed
-forms, so they serve as an independent check of them (only mc_expected_iid,
-which averages the closed form over IID sets, uses them).
+forms, so they serve as an independent check of them (only mc_expected_iid
+uses them: it values each IID set as squared_value does, bit for bit).
 
 Test-region conventions per measure (x is a set point, a and b anchors):
 
@@ -60,8 +60,8 @@ from .core import (
     check_count,
     check_seed,
 )
-from .evaluator import _SUM_BLOCK
-from .kernels import _GEOMETRIC, b_rows, c_cross, kernel_spec
+from .evaluator import _values
+from .kernels import _GEOMETRIC, kernel_spec
 
 __all__ = [
     "OracleEstimate",
@@ -144,9 +144,16 @@ def _region_inside_volume(
     return inside, volume
 
 
-def _estimate(s1: float, s2: float, count: int, seed: int) -> OracleEstimate:
-    """Mean and standard error of ``count`` draws from their sum s1 and
-    sum of squares s2."""
+def _estimate(draw, count: int, chunk: int, seed: int) -> OracleEstimate:
+    """Mean and standard error of ``count`` draws from ``draw(gen, m)``, which
+    returns m of them from the seed's Philox stream, ``chunk`` at a time."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    s1 = 0.0
+    s2 = 0.0
+    for start in range(0, count, chunk):
+        g = draw(gen, min(chunk, count - start))
+        s1 += float(g.sum())
+        s2 += float((g * g).sum())
     mean = s1 / count
     var = max(s2 - count * mean * mean, 0.0) / (count - 1)
     return OracleEstimate(mean=mean, stderr=math.sqrt(var / count),
@@ -210,30 +217,21 @@ def mc_squared_discrepancy(
     measure = _require_geometric(measure)
     samples = check_count("samples", samples, 2)
     seed = check_seed(seed)
-    coords = points.coords
     d = points.d
-    n = points.n
-    gen = np.random.Generator(np.random.Philox(seed))
     two_anchor = measure in _NEEDS_SECOND_ANCHOR
     # sym normalization (see module docstring): the even-orthant union is
     # 2^(d-1) orthants wide, and the closed form measures the per-orthant
     # scale, so its delta shrinks accordingly.
     delta_scale = 0.5 ** (d - 1) if measure is MeasureId.SYM else 1.0
 
-    s1 = 0.0
-    s2 = 0.0
-    left = samples
-    while left > 0:
-        m = min(_CHUNK, left)
+    def draw(gen, m):
         a = gen.random((m, d))
         b = gen.random((m, d)) if two_anchor else None
-        inside, volume = _region_inside_volume(measure, coords, a, b)
-        delta = (inside.sum(axis=1).astype(np.float64) / n - volume) * delta_scale
-        g = delta * delta
-        s1 += float(g.sum())
-        s2 += float((g * g).sum())
-        left -= m
-    return _estimate(s1, s2, samples, seed)
+        inside, volume = _region_inside_volume(measure, points.coords, a, b)
+        delta = (inside.sum(axis=1).astype(np.float64) / points.n - volume) * delta_scale
+        return delta * delta
+
+    return _estimate(draw, samples, _CHUNK, seed)
 
 
 def mc_expected_iid(
@@ -246,33 +244,17 @@ def mc_expected_iid(
 ) -> OracleEstimate:
     """Monte Carlo estimate of E[D^2] over IID uniform sets of size n.
 
-    Draws `replications` independent n-point sets, evaluates the closed form
-    on each, and averages.  Covers every measure (including those without a
-    geometric definition), so it arbitrates the expectation identity.
+    Averages `squared_value`, bit for bit, over `replications` independent
+    n-point sets.  Covers every measure (including those without a geometric
+    definition), so it arbitrates the expectation identity.
     """
     spec = kernel_spec(measure, d, gamma=gamma)
     n = check_count("n", n, 1)
     replications = check_count("replications", replications, 2)
     seed = check_seed(seed)
-    gen = np.random.Generator(np.random.Philox(seed))
-
     chunk = max(1, min(4096, (1 << 22) // max(n * n, 1)))  # fixes streams and sums
-    sub = max(1, _SUM_BLOCK // (n * n))  # sets per evaluation, to bound memory
-    s1 = 0.0
-    s2 = 0.0
-    left = replications
-    while left > 0:
-        r = min(chunk, left)
-        sets = gen.random((r, n, d))
-        vals = np.empty(r)
-        for s0 in range(0, r, sub):
-            part = sets[s0:s0 + sub]
-            vals[s0:s0 + sub] = (spec.a - 2.0 * b_rows(spec, part).sum(axis=1) / n
-                                 + c_cross(spec, part, part).sum(axis=(1, 2)) / (n * n))
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        left -= r
-    return _estimate(s1, s2, replications, seed)
+    return _estimate(lambda gen, r: np.array(_values(spec, gen.random((r, n, d)))),
+                     replications, chunk, seed)
 
 
 def even_subset_volume(a) -> float:

@@ -165,6 +165,15 @@ class TestSubcommands:
         assert len(table) == 1 + 10 * 8
         assert (out / "table1.run.json").exists()
 
+    def test_help_says_what_disc_threads_does(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert " ".join(capsys.readouterr().out.split()).endswith(
+            "DISC_THREADS is validated (exit 2 on a non-integer or non-positive "
+            "value) and has no other effect: evaluation is single-threaded and "
+            "deterministic.")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -259,6 +268,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no geometric set definition" in err
         assert "gamma" not in err
+
+    @pytest.mark.parametrize("name,make,reason", [
+        ("missing.csv", lambda path: None, "No such file or directory"),
+        ("folder", lambda path: path.mkdir(), "Is a directory"),
+        ("binary.csv", lambda path: path.write_bytes(b"x1\n\xff\xfe0.5\n"),
+         "can't decode"),
+    ], ids=["missing", "directory", "undecodable"])
+    def test_unreadable_input_is_two(self, tmp_path, capsys, name, make, reason):
+        src = tmp_path / name
+        make(src)
+        assert run(["disc", "--measure", "star", "--in", src]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and reason in err
 
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"

@@ -329,31 +329,37 @@ class TestTiles:
 
 
 class TestBlockedValue:
-    # with 37 floats per block and 64 per tile, blocks and tiles hold one or
-    # a few rows; neither value nor gradient may change, and both functions
-    # return the same value
+    # blocks run from one row to several whole sets, on both sides of a
+    # set's n^2 floats, and 64 floats per tile give tiles of one or a few
+    # rows; no value or gradient may change, the stacked pass values each
+    # set as squared_value does, and both functions return the same value
     @settings(max_examples=30, deadline=None)
     @given(
         tag=st.sampled_from([m.value for m in MeasureId]),
         n=st.integers(1, 80),
         d=st.integers(1, 5),
+        r=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(tag="cad", n=80, d=3, seed=0)
-    @example(tag="sym_weighted", n=12, d=5, seed=1)
-    def test_leaf_edges_are_invisible(self, tag, n, d, seed):
+    @example(tag="cad", n=80, d=3, r=1, seed=0)
+    @example(tag="sym_weighted", n=12, d=5, r=4, seed=1)
+    @example(tag="mix", n=1, d=2, r=3, seed=2)
+    def test_leaf_edges_are_invisible(self, tag, n, d, r, seed):
         gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
         spec = _spec(tag, d, gamma=gamma)
-        coords = iid_uniform(n, d, seed=seed).coords
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluator, "_SUM_BLOCK", 37)
-            mp.setattr(evaluator, "_TILE_FLOATS", 64)
-            value = squared_value(spec, coords)
-            pair = value_and_gradient(spec, coords) if spec.continuous else None
-        assert value == _unblocked_value(spec, coords)
-        if pair is not None:
-            assert pair[0] == value
-            assert np.array_equal(pair[1], _untiled_gradient(spec, coords))
+        stack = iid_uniform(r * n, d, seed=seed).coords.reshape(r, n, d)
+        expected = [_unblocked_value(spec, coords) for coords in stack]
+        for block in (1, n - 1, n, n * n - 1, n * n, n * n + 1, 3 * n * n, 37):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "_SUM_BLOCK", max(block, 1))
+                assert evaluator._values(spec, stack) == expected
+                assert squared_value(spec, stack[0]) == expected[0]
+        if spec.continuous:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "_TILE_FLOATS", 64)
+                value, grad = value_and_gradient(spec, stack[0])
+            assert value == expected[0]
+            assert np.array_equal(grad, _untiled_gradient(spec, stack[0]))
 
     @pytest.mark.parametrize("tag,n,d", [("star", 300, 3), ("mix", 1025, 2), ("ctr", 1025, 5)])
     def test_real_block_is_bit_identical(self, tag, n, d):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from l2disc import (
+    MeasureId,
     NoGeometricOracleError,
     PointSet,
     ValidationError,
@@ -21,6 +22,7 @@ from l2disc import (
     mc_squared_discrepancy,
     replicated_point,
     squared_discrepancy,
+    squared_value,
 )
 from l2disc.pathology import expected_iid_squared
 
@@ -273,6 +275,29 @@ class TestMcExpectedIid:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("tag", [m.value for m in MeasureId])
+    @pytest.mark.parametrize("n,d,replications", [
+        (1, 2, 50), (4, 2, 300), (16, 3, 100), (130, 2, 250),
+    ])
+    def test_replications_are_squared_values(self, tag, n, d, replications):
+        # the same Philox chunks, each set valued alone by squared_value; at
+        # n = 130 a set's n^2 exceeds the value block, and 250 replications
+        # are two chunks of 248 and 2 sets
+        gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
+        spec = kernel_spec(tag, d, gamma=gamma)
+        gen = np.random.Generator(np.random.Philox(9))
+        chunk = max(1, min(4096, (1 << 22) // (n * n)))
+        s1 = s2 = 0.0
+        for start in range(0, replications, chunk):
+            sets = gen.random((min(chunk, replications - start), n, d))
+            vals = np.array([squared_value(spec, coords) for coords in sets])
+            s1 += float(vals.sum())
+            s2 += float((vals * vals).sum())
+        mean = s1 / replications
+        var = max(s2 - replications * mean * mean, 0.0) / (replications - 1)
+        est = mc_expected_iid(tag, n, d, replications, 9, gamma=gamma)
+        assert (est.mean, est.stderr) == (mean, math.sqrt(var / replications))
 
     def test_reproducible(self):
         a = mc_expected_iid("ctr", n=4, d=2, replications=5_000, seed=29)
