@@ -72,20 +72,15 @@ __all__ = ["main", "RunRecord", "read_points", "write_points"]
 
 _CROSSEVAL_MEASURES = ("star", "ext", "per", "ctr", "sym", "asd")
 
-#: Optimizer budgets per preset: (restarts, iterations).
-_PRESET_BUDGETS = {
-    "smoke": (2, 1_500),
-    "desk": (6, 12_000),
-    "full": (12, 30_000),
+#: tables --preset: the optimizer budget and the n values of each table
+_PRESETS = {
+    "smoke": dict(restarts=2, iterations=1_500,
+                  table3=(16,), table4=(10, 20), fig2=(16,)),
+    "desk": dict(restarts=6, iterations=12_000, table3=(16, 32),
+                 table4=tuple(range(10, 61, 10)), fig2=(32, 64)),
+    "full": dict(restarts=12, iterations=30_000, table3=TABLE3_NS,
+                 table4=TABLE4_NS, fig2=(16, 32, 64, 128, 256)),
 }
-
-_PRESET_TABLE3_NS = {"smoke": (16,), "desk": (16, 32), "full": TABLE3_NS}
-_PRESET_TABLE4_NS = {
-    "smoke": (10, 20),
-    "desk": tuple(range(10, 61, 10)),
-    "full": TABLE4_NS,
-}
-_PRESET_FIG2_NS = {"smoke": (16,), "desk": (32, 64), "full": (16, 32, 64, 128, 256)}
 
 
 @dataclass(frozen=True)
@@ -241,14 +236,6 @@ def _check_disc_threads() -> None:
             f"DISC_THREADS must be a positive integer, got {cap}")
 
 
-def _load_input_set(args) -> PointSet:
-    if getattr(args, "in_path", None):
-        return read_points(args.in_path)
-    if args.n is None or args.d is None:
-        raise ValidationError("provide --in, or both --n and --d")
-    return sobol(args.n, args.d)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -265,8 +252,7 @@ _GENERATORS = {
 }
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
+def _cmd_gen(args, started: float) -> int:
     kind = args.kind
     needs, build = _GENERATORS[kind]
     if any(getattr(args, dest) is None for dest in needs):
@@ -281,8 +267,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_disc(args) -> int:
-    started = time.perf_counter()
+def _cmd_disc(args, started: float) -> int:
     points = read_points(args.in_path)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
@@ -293,8 +278,7 @@ def _cmd_disc(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args, started: float) -> int:
     points = read_points(args.in_path)
     # the estimate first, so a measure without geometry is named as such
     estimate = mc_squared_discrepancy(args.measure, points,
@@ -311,9 +295,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_pathology(args) -> int:
-    started = time.perf_counter()
-    if args.d is None or args.d < 1:
+def _cmd_pathology(args, started: float) -> int:
+    if args.d < 1:
         raise ValidationError("pathology needs --d (maximum dimension) >= 1")
     rows = pathology_table(range(1, args.d + 1))
     _write_csv(args.out, [f.name for f in fields(PathologyRow)],
@@ -326,8 +309,7 @@ def _cmd_pathology(args) -> int:
     return 0
 
 
-def _cmd_greedy(args) -> int:
-    started = time.perf_counter()
+def _cmd_greedy(args, started: float) -> int:
     points = read_points(args.in_path)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
@@ -336,8 +318,7 @@ def _cmd_greedy(args) -> int:
     write_points(args.out, final)
     _write_trace(args.out + ".trace.json", trace)
     record = _record("greedy", measure=args.measure, n=final.n, d=final.d,
-                     gamma=gamma, squared=trace.final_value,
-                     root=math.sqrt(max(trace.final_value, 0.0)),
+                     gamma=gamma, squared=trace.final_value, root=_root(trace),
                      evaluations=trace.evaluations,
                      steps=args.steps, batch=args.batch, grid_k=args.grid_k)
     _emit_record(record, args.out, started)
@@ -356,9 +337,10 @@ def _write_trace(path: str, trace) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    init = _load_input_set(args)
+def _cmd_optimize(args, started: float) -> int:
+    if not args.in_path and (args.n is None or args.d is None):
+        raise ValidationError("provide --in, or both --n and --d")
+    init = read_points(args.in_path) if args.in_path else sobol(args.n, args.d)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, init.d, gamma)
     cfg = OptimizerConfig(restarts=args.restarts, iterations=args.iters,
@@ -366,7 +348,7 @@ def _cmd_optimize(args) -> int:
     final, trace = optimize(spec, init, cfg)
     write_points(args.out, final)
     _write_trace(args.out + ".trace.json", trace)
-    root = math.sqrt(max(trace.final_value, 0.0))
+    root = _root(trace)
     record = _record("optimize", measure=args.measure, n=final.n, d=final.d,
                      gamma=gamma, squared=trace.final_value, root=root,
                      seeds=(args.seed,), evaluations=trace.evaluations,
@@ -382,8 +364,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_crosseval(args) -> int:
-    started = time.perf_counter()
+def _cmd_crosseval(args, started: float) -> int:
     measures = [m.strip() for m in args.measure.split(",")]
     if len(measures) < 2:
         raise ValidationError("crosseval needs >= 2 comma-separated measures")
@@ -396,11 +377,8 @@ def _cmd_crosseval(args) -> int:
         sets[m] = read_points(path)
     ratios = _write_ratios(args.out, sets, measures)
     record = _record("crosseval", d=next(iter(sets.values())).d,
-                     measures=measures, out=args.out,
-                     min_offdiag=float(min(ratios[i, k]
-                                           for i in range(len(measures))
-                                           for k in range(len(measures))
-                                           if i != k)))
+                     measures=measures, out=args.out, min_offdiag=float(
+                         ratios[~np.eye(len(measures), dtype=bool)].min()))
     _emit_record(record, args.out, started)
     return 0
 
@@ -410,13 +388,15 @@ def _cmd_crosseval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _optimized_root(measure: str, n: int, preset: str, seed: int) -> float:
-    restarts, iters = _PRESET_BUDGETS[preset]
-    spec = kernel_spec(measure, 2)
-    init = sobol(n, 2)
-    _, trace = optimize(spec, init,
-                        OptimizerConfig(restarts=restarts, iterations=iters,
-                                        seed=seed))
+def _optimized(measure: str, n: int, preset: str, seed: int):
+    """The `optimize` trace of n points in d = 2 from Sobol' at the preset's
+    budget."""
+    cfg = OptimizerConfig(restarts=_PRESETS[preset]["restarts"],
+                          iterations=_PRESETS[preset]["iterations"], seed=seed)
+    return optimize(kernel_spec(measure, 2), sobol(n, 2), cfg)[1]
+
+
+def _root(trace) -> float:
     return math.sqrt(max(trace.final_value, 0.0))
 
 
@@ -469,8 +449,8 @@ def _tables_table3(out_dir: str, preset: str, seed: int) -> list:
               "sobol_rel_dev"]
     rows = []
     for measure in TABLE3_ORDER:
-        for n in _PRESET_TABLE3_NS[preset]:
-            opt = _optimized_root(measure, n, preset, seed)
+        for n in _PRESETS[preset]["table3"]:
+            opt = _root(_optimized(measure, n, preset, seed))
             sob = _sobol_root(measure, n)
             rows.append([
                 measure, n,
@@ -487,8 +467,8 @@ def _tables_table4(out_dir: str, preset: str, seed: int) -> list:
     header = ["measure", "n", "opt_root", "published_opt", "opt_rel_dev"]
     rows = []
     for measure in TABLE4_ORDER:
-        for n in _PRESET_TABLE4_NS[preset]:
-            opt = _optimized_root(measure, n, preset, seed)
+        for n in _PRESETS[preset]["table4"]:
+            opt = _root(_optimized(measure, n, preset, seed))
             rows.append([measure, n, opt, TABLE4_OPT[measure][n],
                          _rel_dev(opt, TABLE4_OPT[measure][n])])
     _write_csv(path, header, rows)
@@ -496,18 +476,10 @@ def _tables_table4(out_dir: str, preset: str, seed: int) -> list:
 
 
 def _tables_fig2(out_dir: str, preset: str, seed: int) -> list:
-    restarts, iters = _PRESET_BUDGETS[preset]
     measures = list(_CROSSEVAL_MEASURES)
     paths = []
-    for n in _PRESET_FIG2_NS[preset]:
-        sets = {}
-        init = sobol(n, 2)
-        for m in measures:
-            spec = kernel_spec(m, 2)
-            final, _ = optimize(spec, init,
-                                OptimizerConfig(restarts=restarts,
-                                                iterations=iters, seed=seed))
-            sets[m] = final
+    for n in _PRESETS[preset]["fig2"]:
+        sets = {m: _optimized(m, n, preset, seed).final for m in measures}
         path = os.path.join(out_dir, f"fig2_n{n}.csv")
         _write_ratios(path, sets, measures)
         paths.append(path)
@@ -524,8 +496,7 @@ _TABLES = {
 }
 
 
-def _cmd_tables(args) -> int:
-    started = time.perf_counter()
+def _cmd_tables(args, started: float) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = _TABLES[args.which](args.out, args.preset, args.seed)
     record = _record("tables", seeds=(args.seed,), which=args.which,
@@ -628,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=tuple(_TABLES))
     p.add_argument("--preset", default="smoke",
-                   choices=tuple(_PRESET_BUDGETS))
+                   choices=tuple(_PRESETS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=_cmd_tables)
@@ -639,13 +610,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         _check_disc_threads()
         # before any output, also where the subcommand never draws from it
         check_seed(getattr(args, "seed", 0))
-        return args.func(args)
+        return args.func(args, started)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # read_points reports its own, so this is a write
+        # a full disk fails at flush or close, with no file name
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}cannot write: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericGuardError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)

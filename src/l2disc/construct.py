@@ -16,13 +16,14 @@ The grid is never built as a (k^d, d) array.  A grid point's factors take
 only the k values per axis, so scoring reads them from per-axis tables
 (B_j(g), C_j(g, g) and C_j(x_ij, g)) and multiplies them in coordinate
 order, in blocks of whole grid lines.  The base sum sum_i prod_j C_j(x_ij, g)
-is kept for every grid point across steps: built once, then each appended
-point's row is added in append order, which is the order numpy's row sum
-would use, and the last slot of a call scores into them in place.  Pattern
-search tables C_j(x_ij, v), B_j(v) and C_j(v, v') once per sweep for each
-v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed); a
-trial is the current tables with one axis's entries replaced, and only the
-trials the one-at-a-time scan would make count.  None of this moves a bit.
+is kept for every grid point across steps: built once, then continued by one
+block sum over the appended points with the running sums as its first row,
+which adds the rows in the order numpy's row sum would use, and the last
+slot of a call scores into them in place.  Pattern search tables C_j(x_ij, v),
+B_j(v) and C_j(v, v') once per sweep for each v = y_mj or y_mj +- step (a
+sweep moves only coordinates it has passed); a trial is the current tables
+with one axis's entries replaced, and only the trials the one-at-a-time scan
+would make count.  None of this moves a bit.
 
 Optimization is projected gradient descent with momentum: restart 0 starts
 from the caller's set, further restarts from IID uniform sets drawn from a
@@ -181,9 +182,8 @@ def _sweep_tables(spec: KernelSpec, base: np.ndarray, current: np.ndarray,
     values], w first as in ``c_cross``, and B_j(v_j) (d, 3b), each in one call."""
     moves = current + np.array([0.0, step, -step])[:, None, None]
     vals = np.minimum(np.maximum(moves, 0.0), 1.0).reshape(-1, spec.d)
-    rows, axes = np.concatenate([base, vals]).T, np.arange(spec.d)[:, None]
-    tab = spec.c_col(rows[:, :, None], vals.T[:, None, :], axes[..., None])
-    return vals, tab, spec.b_col(vals.T, axes)
+    tab = _cross_tables(spec, np.concatenate([base, vals]), vals.T)
+    return vals, tab, spec.b_col(vals.T, np.arange(spec.d)[:, None])
 
 
 def _objective(cross: np.ndarray, b_tab: np.ndarray, pair: np.ndarray,
@@ -238,11 +238,11 @@ def _grid_blocks(d: int, k: int, rows: int):
             yield slice(l0 * k + c0, (l1 - 1) * k + c1), idx, slice(c0, c1)
 
 
-def _grid_product(tabs: list, idx: tuple, cols: slice) -> np.ndarray:
+def _grid_product(tabs: np.ndarray, idx: tuple, cols: slice) -> np.ndarray:
     """prod_j tabs[j][..., a_j] over one block of ``_grid_blocks``, shape
-    (..., width), C-contiguous.  ``tabs`` holds one (..., k) table per axis;
-    the factors multiply in coordinate order j = 0..d-1 from 1.0, as in
-    ``kernels.c_cross``, so the products carry its bits."""
+    (..., width), C-contiguous.  ``tabs`` stacks the per-axis (..., k) tables
+    axis first; the factors multiply in coordinate order j = 0..d-1 from 1.0,
+    as in ``kernels.c_cross``, so the products carry its bits."""
     prefix = 1.0
     for tab, a in zip(tabs, idx):
         prefix = prefix * tab[..., a]
@@ -250,30 +250,28 @@ def _grid_product(tabs: list, idx: tuple, cols: slice) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-def _cross_tables(spec: KernelSpec, pts: np.ndarray, axis: np.ndarray) -> list:
-    """C_j(p_j, g) for every row p of pts and every grid value g: one (m, k)
-    table per axis, with the point's coordinate first as in c_cross."""
-    return [spec.c_col(pts[:, j, None], axis[None, :], j) for j in range(spec.d)]
+def _cross_tables(spec: KernelSpec, pts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """C_j(p_j, v) for every row p of pts and every value v of axis j, shape
+    (d, m, v), in one call, with the point's coordinate first as in c_cross;
+    ``values`` is (v,), the same on every axis, or (d, v)."""
+    axes = np.arange(spec.d)[:, None, None]
+    return spec.c_col(pts.T[:, :, None], values[..., None, :], axes)
 
 
-def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_i prod_j C_j(p_ij, g_j) for every grid point g.  numpy adds the rows
-    of an (m, width >= 2) block in row order, so block widths move no bits."""
+def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray,
+                sums: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_i prod_j C_j(p_ij, g_j) for every grid point g, or, given ``sums``,
+    those sums continued in place over the rows of pts: each block sum then
+    has the old sums as its row 0.  numpy adds the rows of an (m, width >= 2)
+    block in row order, so block widths and continuations move no bits."""
     tabs = _cross_tables(spec, pts, axis)
-    sums = np.empty(axis.size ** spec.d)
+    out = np.empty(axis.size ** spec.d) if sums is None else sums
     for flat, idx, cols in _grid_blocks(spec.d, axis.size, pts.shape[0]):
-        sums[flat] = _grid_product(tabs, idx, cols).sum(axis=0)
-    return sums
-
-
-def _add_cross_rows(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
-                    pts: np.ndarray) -> None:
-    """Add each row of pts into ``_cross_sums`` in order, which continues its
-    row-order sum: the result has the bits of the sums over all rows."""
-    tabs = _cross_tables(spec, pts, axis)
-    for flat, idx, cols in _grid_blocks(spec.d, axis.size, pts.shape[0]):
-        for row in _grid_product(tabs, idx, cols):
-            sums[flat] += row
+        block = _grid_product(tabs, idx, cols)
+        if sums is not None:
+            block = np.concatenate([sums[None, flat], block])
+        block.sum(axis=0, out=out[flat])
+    return out
 
 
 def _slot_scores(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
@@ -282,8 +280,9 @@ def _slot_scores(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
     the base's ``_cross_sums``; each block adds -2·total·B, 2·sums,
     2·Σchosen and C(g, g) in that order, into ``out`` (may be ``sums``)."""
     d = spec.d
-    b_tabs = [spec.b_col(axis, j) for j in range(d)]
-    diag_tabs = [spec.c_col(axis, axis, j) for j in range(d)]
+    # the full (d, k) shape, as the unweighted factors ignore j
+    grid, axes = np.broadcast_to(axis, (d, axis.size)), np.arange(d)[:, None]
+    b_tabs, diag_tabs = spec.b_col(grid, axes), spec.c_col(grid, grid, axes)
     chosen_tabs = _cross_tables(spec, chosen, axis)
     scores = np.empty(sums.size) if out is None else out
     for flat, idx, cols in _grid_blocks(d, axis.size, max(1, chosen.shape[0])):
@@ -397,7 +396,7 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
         chosen, _, used = _pattern_search(spec, coords, chosen, total, cfg)
         evals += used
         if step + 1 < steps:
-            _add_cross_rows(spec, axis, sums, chosen)
+            _cross_sums(spec, axis, chosen, sums)
         coords = np.vstack([coords, chosen])
         values.append(squared_discrepancy(spec, PointSet(coords)).value)
     final = PointSet(coords)

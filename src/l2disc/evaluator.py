@@ -71,16 +71,13 @@ def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
     """Each set's `squared_value`, bit for bit, for an (r, n, d) stack."""
     r, n, _ = sets.shape
     row_sums = np.empty((r, n))
-    step = _SUM_BLOCK // (n * n)
-    if r > 1 and step > 1:  # kernel blocks of several whole sets
-        for s0 in range(0, r, step):
-            part = sets[s0:s0 + step]
-            c_cross(spec, part, part).sum(axis=2, out=row_sums[s0:s0 + step])
-    else:  # kernel blocks of whole rows of one set
-        step = max(1, _SUM_BLOCK // n)
-        for s, x in enumerate(sets):
-            for i0 in range(0, n, step):
-                c_cross(spec, x[i0:i0 + step], x).sum(axis=1, out=row_sums[s, i0:i0 + step])
+    # kernel blocks of several whole sets, or of whole rows of one set
+    group, step = max(1, _SUM_BLOCK // (n * n)), max(1, _SUM_BLOCK // n)
+    for s0 in range(0, r, group):
+        part = sets[s0:s0 + group]
+        for i0 in range(0, n, step):
+            c_cross(spec, part[:, i0:i0 + step], part).sum(
+                axis=2, out=row_sums[s0:s0 + group, i0:i0 + step])
     # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
     b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
     return [_combine(spec, n, b, rows) for b, rows in zip(b_sums.tolist(), row_sums)]

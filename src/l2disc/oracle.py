@@ -252,7 +252,7 @@ def mc_expected_iid(
     n = check_count("n", n, 1)
     replications = check_count("replications", replications, 2)
     seed = check_seed(seed)
-    chunk = max(1, min(4096, (1 << 22) // max(n * n, 1)))  # fixes streams and sums
+    chunk = max(1, min(4096, (1 << 22) // (n * n)))  # fixes streams and sums
     return _estimate(lambda gen, r: np.array(_values(spec, gen.random((r, n, d)))),
                      replications, chunk, seed)
 

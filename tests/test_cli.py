@@ -282,6 +282,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}: ") and reason in err
 
+    @pytest.mark.parametrize("argv,target,reason", [
+        (["gen", "sobol", "--n", 4, "--d", 2], "nodir/x.csv", "No such file or directory"),
+        (["pathology", "--d", 2], "nodir/p.csv", "No such file or directory"),
+        (["tables", "--which", "table1"], "taken", "File exists"),
+    ], ids=["gen", "pathology", "tables"])
+    def test_unwritable_output_is_two(self, tmp_path, capsys, argv, target, reason):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / target
+        assert run(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: cannot write: {reason}\n"
+        assert captured.out == ""
+
+    def test_failed_write_without_a_path_is_two(self, tmp_path, capsys, monkeypatch):
+        # a full disk fails at flush or close, with no file name on the error
+        def full(path, points):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_points", full)
+        assert run(["gen", "fib", "--n", 5, "--out", tmp_path / "f.csv"]) == 2
+        assert capsys.readouterr().err == "error: cannot write: No space left on device\n"
+
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 149))

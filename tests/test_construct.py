@@ -29,6 +29,7 @@ from l2disc.construct import (
     _candidate_grid,
     _cross_sums,
     _grid_axis,
+    _grid_blocks,
     _pattern_search,
     _slot_scores,
 )
@@ -474,17 +475,44 @@ class TestBatchedSweeps:
         start = iid_uniform(n, d, seed=seed)
         cfg = GreedyConfig(batch=2, grid_k=9, max_refine_evaluations=60)
         rows = [start.coords]
-        add_rows = construct._add_cross_rows
 
-        def checked(spec, axis, sums, pts):
-            add_rows(spec, axis, sums, pts)
+        def checked(spec, axis, pts, sums=None):
+            if sums is None:
+                return _cross_sums(spec, axis, pts)
+            _cross_sums(spec, axis, pts, sums)
             rows.append(pts)
             assert np.array_equal(sums, _cross_sums(spec, axis, np.vstack(rows)))
+            return sums
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(construct, "_add_cross_rows", checked)
+            mp.setattr(construct, "_cross_sums", checked)
             greedy_extend(spec, start, 3, cfg)
         assert len(rows) == 3
+
+    # a block of 48 floats splits a 65-point grid line into spans of 16 for
+    # the 3 appended rows and of 4 for all 12, both ending in a merged
+    # width-1 tail, and a 9-point line into spans of 4 for all 12 rows
+    @pytest.mark.parametrize("block", [48, construct._SUM_BLOCK])
+    @pytest.mark.parametrize("k", [2, 9, 65])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_continued_sums_are_bit_exact(self, tag, d, k, block):
+        spec = _spec(tag, d)
+        old = iid_uniform(9, d, seed=k + d).coords
+        new = iid_uniform(3, d, seed=k + d + 1).coords
+        axis = _grid_axis(d, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", block)
+            got = _cross_sums(spec, axis, new, _cross_sums(spec, axis, old))
+            want = _cross_sums(spec, axis, np.vstack([old, new]))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows,tail", [(3, (48, 65)), (12, (60, 65))])
+    def test_block_of_48_ends_lines_in_a_merged_tail(self, rows, tail):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", 48)
+            cols = {(c.start, c.stop) for _, _, c in _grid_blocks(2, 65, rows)}
+        assert tail in cols and (64, 65) not in cols
 
     # bases of up to 80 rows make a trial's n·b cross terms longer than
     # numpy's 8-term unrolled sum, and past its 128-term pairwise block
