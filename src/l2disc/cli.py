@@ -146,10 +146,7 @@ def _emit_record(record: RunRecord, out_path: Optional[str],
 
 def write_points(path: str, points: PointSet) -> None:
     """CSV with header x1..xd and 17-significant-digit coordinates."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(points.d)) + "\n")
-        for row in points.coords:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(path, [f"x{j + 1}" for j in range(points.d)], points.coords)
 
 
 def read_points(path: str) -> PointSet:
@@ -314,27 +311,26 @@ def _cmd_greedy(args, started: float) -> int:
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
     cfg = GreedyConfig(batch=args.batch, grid_k=args.grid_k)
-    final, trace = greedy_extend(spec, points, args.steps, cfg)
-    write_points(args.out, final)
-    _write_trace(args.out + ".trace.json", trace)
-    record = _record("greedy", measure=args.measure, n=final.n, d=final.d,
-                     gamma=gamma, squared=trace.final_value, root=_root(trace),
-                     evaluations=trace.evaluations,
-                     steps=args.steps, batch=args.batch, grid_k=args.grid_k)
-    _emit_record(record, args.out, started)
+    _, trace = greedy_extend(spec, points, args.steps, cfg)
+    _write_construction(args, gamma, trace, started, steps=args.steps,
+                        batch=args.batch, grid_k=args.grid_k)
     return 0
 
 
-def _write_trace(path: str, trace) -> None:
-    payload = {
-        "values": list(trace.values),
-        "best_values": list(trace.best_values),
-        "final_value": trace.final_value,
-        "winner_restart": trace.winner_restart,
-        "evaluations": trace.evaluations,
-    }
-    with open(path, "w", newline="\n") as fh:
+def _write_construction(args, gamma, trace, started: float, **fields) -> float:
+    """Write a construction run's set to --out, its trace to
+    ``<out>.trace.json`` and its record; returns the root discrepancy."""
+    write_points(args.out, trace.final)
+    payload = {name: getattr(trace, name) for name in (
+        "values", "best_values", "final_value", "winner_restart", "evaluations")}
+    with open(args.out + ".trace.json", "w", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    root = _root(trace)
+    record = _record(args.command, measure=args.measure, n=trace.final.n,
+                     d=trace.final.d, gamma=gamma, squared=trace.final_value,
+                     root=root, evaluations=trace.evaluations, **fields)
+    _emit_record(record, args.out, started)
+    return root
 
 
 def _cmd_optimize(args, started: float) -> int:
@@ -345,17 +341,11 @@ def _cmd_optimize(args, started: float) -> int:
     spec = kernel_spec(args.measure, init.d, gamma)
     cfg = OptimizerConfig(restarts=args.restarts, iterations=args.iters,
                           seed=args.seed)
-    final, trace = optimize(spec, init, cfg)
-    write_points(args.out, final)
-    _write_trace(args.out + ".trace.json", trace)
-    root = _root(trace)
-    record = _record("optimize", measure=args.measure, n=final.n, d=final.d,
-                     gamma=gamma, squared=trace.final_value, root=root,
-                     seeds=(args.seed,), evaluations=trace.evaluations,
-                     restarts=args.restarts, iterations=args.iters,
-                     winner_restart=trace.winner_restart,
-                     target=args.target)
-    _emit_record(record, args.out, started)
+    _, trace = optimize(spec, init, cfg)
+    root = _write_construction(args, gamma, trace, started, seeds=(args.seed,),
+                               restarts=args.restarts, iterations=args.iters,
+                               winner_restart=trace.winner_restart,
+                               target=args.target)
     if args.target is not None and root > args.target:
         raise BudgetExhaustedError(
             f"optimized root {root:.6g} missed the requested target "

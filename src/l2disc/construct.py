@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from .core import (
     check_positive,
     check_seed,
 )
-from .evaluator import _SUM_BLOCK, squared_discrepancy, value_and_gradient
+from .evaluator import _SUM_BLOCK, _checked_coords, squared_discrepancy, value_and_gradient
 from .kernels import KernelSpec, kernel_spec
 
 __all__ = [
@@ -150,7 +151,7 @@ class Trace:
     (greedy) or each iteration of the winning restart (optimizer);
     ``best_values`` is its running minimum, hence non-increasing.
     ``final_value`` is re-verified by a fresh closed-form evaluation of
-    ``final``.
+    ``final``.  Both constructors build it in one place, ``_trace``.
     """
 
     values: tuple
@@ -161,13 +162,13 @@ class Trace:
     evaluations: int
 
 
-def _running_min(values: Sequence[float]) -> tuple:
-    best = math.inf
-    out = []
-    for v in values:
-        best = v if v < best else best
-        out.append(best)
-    return tuple(out)
+def _trace(values: Sequence[float], final: PointSet, final_value: float,
+           winner_restart: int, evaluations: int) -> Trace:
+    """The run's Trace, with ``best_values`` the running minimum of ``values``."""
+    best_values = tuple(accumulate(values, min, initial=math.inf))[1:]
+    return Trace(values=tuple(values), best_values=best_values, final=final,
+                 final_value=final_value, winner_restart=winner_restart,
+                 evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +377,7 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
     """
     cfg = cfg or GreedyConfig()
     steps = check_count("steps", steps, 1)
-    if points.d != spec.d:
-        raise ValidationError(
-            f"point set has d={points.d} but kernel spec has d={spec.d}")
-    coords = np.array(points.coords)
+    coords = _checked_coords(spec, points.coords)
     axis = _grid_axis(spec.d, cfg.grid_k)
     sums = _cross_sums(spec, axis, coords)
     values = []
@@ -399,16 +397,8 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
             _cross_sums(spec, axis, chosen, sums)
         coords = np.vstack([coords, chosen])
         values.append(squared_discrepancy(spec, PointSet(coords)).value)
-    final = PointSet(coords)
-    trace = Trace(
-        values=tuple(values),
-        best_values=_running_min(values),
-        final=final,
-        final_value=values[-1],
-        winner_restart=0,
-        evaluations=evals,
-    )
-    return final, trace
+    trace = _trace(values, PointSet(coords), values[-1], 0, evals)
+    return trace.final, trace
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +461,7 @@ def optimize(spec: KernelSpec, init: PointSet,
         raise NonDifferentiableMeasureError(
             f"measure {spec.measure.value!r} has a discontinuous kernel and "
             "cannot be optimized by gradient descent")
-    if init.d != spec.d:
-        raise ValidationError(
-            f"point set has d={init.d} but kernel spec has d={spec.d}")
-    init_coords = np.array(init.coords)
+    init_coords = _checked_coords(spec, init.coords)
     winner = None  # (fresh_value, restart, coords, path)
     total_evals = 0
     for r in range(cfg.restarts):
@@ -485,16 +472,8 @@ def optimize(spec: KernelSpec, init: PointSet,
         if winner is None or fresh < winner[0]:
             winner = (fresh, r, best_x, path)
     fresh_value, winner_restart, best_x, path = winner
-    final = PointSet(best_x)
-    trace = Trace(
-        values=tuple(path),
-        best_values=_running_min(path),
-        final=final,
-        final_value=fresh_value,
-        winner_restart=winner_restart,
-        evaluations=total_evals,
-    )
-    return final, trace
+    trace = _trace(path, PointSet(best_x), fresh_value, winner_restart, total_evals)
+    return trace.final, trace
 
 
 # ---------------------------------------------------------------------------

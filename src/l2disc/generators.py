@@ -107,11 +107,6 @@ class DirectionNumbers:
                     f"direction-number rows must cover dimensions 2,3,... in "
                     f"order; expected {expected_dim}, got {dim}"
                 )
-            if len(m) != s:
-                raise ValidationError(
-                    f"direction-number line for dimension {dim} declares s={s} "
-                    f"but carries {len(m)} initial values"
-                )
             rows.append((s, a, tuple(m)))
             expected_dim += 1
         if not rows:

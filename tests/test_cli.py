@@ -304,6 +304,25 @@ class TestExitCodes:
         assert run(["gen", "fib", "--n", 5, "--out", tmp_path / "f.csv"]) == 2
         assert capsys.readouterr().err == "error: cannot write: No space left on device\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["crosseval", "--measure", "star"],
+         "crosseval needs >= 2 comma-separated measures"),
+        (["crosseval", "--measure", "star,asd"],
+         "missing optimized set file {asd}"),
+        (["pathology", "--d", 0], "pathology needs --d (maximum dimension) >= 1"),
+    ], ids=["crosseval-one-measure", "crosseval-missing-set", "pathology-d0"])
+    def test_unusable_request_is_one_error_line(self, tmp_path, capsys, argv,
+                                                message):
+        write_points(str(tmp_path / "star.csv"), iid_uniform(3, 2, 157))
+        if argv[0] == "crosseval":
+            argv = argv + ["--in", tmp_path]
+        out = tmp_path / "r.csv"
+        assert run(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        asd = tmp_path / "asd.csv"
+        assert captured.err == f"error: {message.format(asd=asd)}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 149))

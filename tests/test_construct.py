@@ -81,6 +81,11 @@ class TestConfigs:
             with pytest.raises(ValidationError, match="seed"):
                 OptimizerConfig(seed=seed)
 
+    @pytest.mark.parametrize("value", [0.0, 1.5])
+    def test_optimizer_rejects_step_decay_outside_unit_interval(self, value):
+        with pytest.raises(ValidationError, match=r"step_decay must lie in \(0, 1\]"):
+            OptimizerConfig(step_decay=value)
+
     @pytest.mark.parametrize("value", [2.5, True, "3", 0])
     @pytest.mark.parametrize("field", ["restarts", "iterations", "decay_interval",
                                        "patience"])
@@ -184,6 +189,28 @@ class TestGreedyExtend:
     def test_candidate_grid_cap(self):
         with pytest.raises(ValidationError):
             _candidate_grid(8, 65)
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("construct_run", [
+        lambda spec, pts: greedy_extend(spec, pts, steps=1),
+        lambda spec, pts: optimize(spec, pts, OptimizerConfig(restarts=1)),
+    ], ids=["greedy", "optimize"])
+    def test_rejects_set_of_other_d_before_evaluating(self, monkeypatch,
+                                                      construct_run):
+        def never(*args):
+            raise AssertionError("evaluated a set of the wrong dimension")
+
+        monkeypatch.setattr(construct, "squared_discrepancy", never)
+        monkeypatch.setattr(construct, "value_and_gradient", never)
+        monkeypatch.setattr(construct, "_cross_sums", never)
+        with pytest.raises(ValidationError,
+                           match="kernel spec is for d=2 but the points have d=3"):
+            construct_run(kernel_spec("star", 2), sobol(4, 3))
+
+    def test_cad_is_named_before_the_dimension(self):
+        with pytest.raises(NonDifferentiableMeasureError):
+            optimize(kernel_spec("cad", 2), sobol(4, 3), OptimizerConfig())
 
 
 class TestOptimize:

@@ -135,8 +135,23 @@ class TestDirectionNumbers:
             DirectionNumbers.from_text("3 2 1 1 3", header=False)
 
     def test_rejects_declared_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got s=2 with 1 values"):
             DirectionNumbers.from_text("2 2 1 1", header=False)
+
+    @pytest.mark.parametrize("line,match", [
+        ("2 1 x 1", "malformed"), ("2 1 0", "too short"),
+    ])
+    def test_rejects_unparseable_line(self, line, match):
+        with pytest.raises(ValidationError, match=match):
+            DirectionNumbers.from_text(line, header=False)
+
+    def test_from_file_round_trips_the_default_table(self, tmp_path):
+        table = DirectionNumbers.default()
+        path = tmp_path / "directions.txt"
+        path.write_text("d s a m_i\n" + "".join(
+            f"{k + 2} {s} {a} {' '.join(map(str, m))}\n"
+            for k, (s, a, m) in enumerate(table.rows)))
+        assert DirectionNumbers.from_file(path) == table
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match="empty"):

@@ -98,6 +98,10 @@ class TestBoxMembership:
         assert inside is True
         assert volume == pytest.approx(even_subset_volume([0.5, 0.5]))
 
+    def test_point_and_anchor_must_share_d(self):
+        with pytest.raises(ValidationError, match="share a dimension count"):
+            box_membership("star", (0.3, 0.3), (0.5,))
+
     def test_ext_rejected_pair(self):
         inside, volume = box_membership("ext", [0.5], [0.8], [0.2])
         assert inside is False and volume == 0.0
