@@ -1,13 +1,19 @@
 """Closed-form evaluation: values, gradients, and insertion contributions.
 
-All routines run in O(d n^2) time under one summation rule: numpy sums each
-point's kernel row sum_k C(x_i, x_k) as one contiguous length-n row, and
-the value is A - 2 sum B / n + fsum(row sums) / n^2 with math.fsum, the
-exactly rounded sum.  So values and gradients do not depend on how many rows
-a block or tile holds, and `squared_value` equals the value returned by
-`value_and_gradient` bit for bit.  The value and gradient come from one
-pass over row tiles of the per-coordinate (T, n) factors with their
-leave-one-out products, in about (2d + 3) n T floats.
+All routines run in O(d n^2) time.  Values follow one summation rule, the
+segment rule.  The columns of the kernel matrix are cut into segments of
+128 points, numpy's pairwise-sum leaf, and row i belongs to row group
+I = i // 128.  The partials of row i are the numpy sums of its segments
+K >= I; the sum of segment K = I is taken once and each K > I is doubled,
+which is exact.  C is symmetric, so the doubled upper blocks stand for the
+lower ones, and only the kernel entries on and right of the diagonal
+segments are computed.  The value is A - 2 sum B / n + fsum(partials) / n^2
+with math.fsum, the exactly rounded sum.  So values do not depend on how
+many rows a tile holds, `squared_value` equals the value returned by
+`value_and_gradient` bit for bit, and for n <= 128 the one segment is the
+whole row.  The value and gradient come from one pass over row tiles of the
+per-coordinate (T, n) factors with their leave-one-out products, in about
+(2d + 3) n T floats; each gradient row is summed whole.
 """
 
 from __future__ import annotations
@@ -36,10 +42,15 @@ __all__ = [
 ]
 
 _ASD_REFLECTION_MAX_D = 20
-# floats in one (T, n) tile of value_and_gradient: T = max(1, this // (n d))
-_TILE_FLOATS = 1 << 19
-# floats per value block and greedy chunk
+# floats in one (T, n) tile of value_and_gradient: T = max(1, this // (n d)),
+# so a (T, n) array holds about 2^18 / d floats, 256 KiB at d = 8: above
+# glibc's 128 KiB mmap threshold, whose heap trimming slowed smaller tiles
+_TILE_FLOATS = 1 << 18
+# floats per value tile and greedy chunk
 _SUM_BLOCK = 1 << 14
+# points per column segment of the value: numpy's pairwise sum adds up to
+# 128 contiguous floats in one unrolled leaf
+_SEGMENT = 128
 
 
 def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
@@ -60,9 +71,11 @@ def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     """Raw squared discrepancy of an (n, d) coordinate matrix.
 
-    It builds the kernel matrix in blocks of whole rows, so only a few rows
-    are alive at once.  `squared_discrepancy` adds types and the
-    negative-value guard; the optimizers run on `value_and_gradient`.
+    It builds the kernel matrix in tiles of a few rows of one row group,
+    from the group's diagonal segment rightward, so only those entries are
+    computed and only one tile is alive at once.  `squared_discrepancy`
+    adds types and the negative-value guard; the optimizers run on
+    `value_and_gradient`.
     """
     return _values(spec, _checked_coords(spec, coords)[None])[0]
 
@@ -70,22 +83,49 @@ def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
 def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
     """Each set's `squared_value`, bit for bit, for an (r, n, d) stack."""
     r, n, _ = sets.shape
-    row_sums = np.empty((r, n))
-    # kernel blocks of several whole sets, or of whole rows of one set
-    group, step = max(1, _SUM_BLOCK // (n * n)), max(1, _SUM_BLOCK // n)
-    for s0 in range(0, r, group):
-        part = sets[s0:s0 + group]
-        for i0 in range(0, n, step):
-            c_cross(spec, part[:, i0:i0 + step], part).sum(
-                axis=2, out=row_sums[s0:s0 + group, i0:i0 + step])
+    groups = -(-n // _SEGMENT)
+    partials = np.zeros((r, n * groups))
+    # row i of row group g keeps its partials at [i, g:] and 0.0 left of g
+    cells = partials.reshape(r, n, groups)
+    for g, c0 in enumerate(range(0, n, _SEGMENT)):
+        rows, width = min(_SEGMENT, n - c0), n - c0
+        # kernel tiles of several sets' whole row groups, or of rows of one set
+        group = min(r, max(1, _SUM_BLOCK // (rows * width)))
+        step = max(1, _SUM_BLOCK // width)
+        for s0 in range(0, r, group):
+            # a lone set is indexed, not sliced: 2-D broadcasts cost numpy less
+            at = s0 if group == 1 else slice(s0, s0 + group)
+            part = sets[at]
+            for i0 in range(c0, c0 + rows, step):
+                i1 = min(i0 + step, c0 + rows)
+                _segment_sums(c_cross(spec, part[..., i0:i1, :], part[..., c0:, :]),
+                              cells[at, i0:i1, g:])
     # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
     b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
-    return [_combine(spec, n, b, rows) for b, rows in zip(b_sums.tolist(), row_sums)]
+    return [_combine(spec, n, b, p) for b, p in zip(b_sums.tolist(), partials)]
 
 
-def _combine(spec: KernelSpec, n: int, b_sum, row_sums: np.ndarray) -> float:
-    """A - 2 b_sum / n + (exactly rounded sum of the kernel row sums) / n^2."""
-    c_sum = math.fsum(row_sums.data)
+def _segment_sums(block: np.ndarray, out: np.ndarray) -> None:
+    """Write the partials of a kernel tile whose columns start at its row
+    group's diagonal segment: the numpy sum of each _SEGMENT-column segment,
+    the first kept and each later one doubled for its mirror image."""
+    width = block.shape[-1]
+    whole = width // _SEGMENT
+    if whole:
+        segments = block[..., :whole * _SEGMENT].reshape(block.shape[:-1] + (whole, _SEGMENT))
+        segments.sum(axis=-1, out=out[..., :whole])
+    if width % _SEGMENT:
+        block[..., whole * _SEGMENT:].sum(axis=-1, out=out[..., whole])
+    if width > _SEGMENT:
+        out[..., 1:] *= 2.0
+
+
+def _combine(spec: KernelSpec, n: int, b_sum, partials: np.ndarray) -> float:
+    """A - 2 b_sum / n + (exactly rounded sum of the partials) / n^2.
+
+    The zeros left of each row's diagonal segment add nothing to the sum.
+    """
+    c_sum = math.fsum(partials.data)
     return spec.a - 2.0 * float(b_sum) / n + c_sum / (n * n)
 
 
@@ -160,10 +200,12 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
     """Fused squared value and gradient from one leave-one-out pass.
 
-    The C part runs over row tiles of T = max(1, 2^19 // (n d)) points.
+    The C part runs over row tiles of T = max(1, 2^18 // (n d)) points.
     A tile keeps the d per-coordinate (T, n) C factors, their d - 1 suffix
     products and a few (T, n) work arrays alive: about (2d + 3) n T floats.
-    Every row is summed whole, so neither value nor gradient depends on T.
+    Every gradient row is summed whole, and the value takes the segment
+    rule's partials off the same full rows, so neither value nor gradient
+    depends on T and the value is `squared_value`'s bit for bit.
     """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
@@ -180,21 +222,29 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     # (T, 1) x (1, n) loops run faster on than on a strided view
     step = max(1, _TILE_FLOATS // (n * d))
     right = np.ascontiguousarray(coords.T)[:, None, :]
-    row_sums = np.empty(n)
+    groups = -(-n // _SEGMENT)
+    partials = np.zeros(n * groups)
+    cells = partials.reshape(n, groups)
     for i0 in range(0, n, step):
-        left = coords[i0:i0 + step].T[:, :, None]
+        i1 = min(i0 + step, n)
+        left = coords[i0:i1].T[:, :, None]
         cs = [spec.c_col(left[j], right[j], j) for j in range(d)]
         for j, exc in enumerate(_leave_one_out(cs)):
             dct = spec.c_dx_col(left[j], right[j], j)
             dct *= exc
-            dct.sum(axis=1, out=grad[i0:i0 + step, j])
-        (exc * cs[-1]).sum(axis=1, out=row_sums[i0:i0 + step])
+            dct.sum(axis=1, out=grad[i0:i1, j])
+        # in place: no second tile-sized array; exc is not read again
+        exc *= cs[-1]
+        for g in range(i0 // _SEGMENT, (i1 - 1) // _SEGMENT + 1):
+            c0 = g * _SEGMENT
+            a, b = max(i0, c0), min(i1, c0 + _SEGMENT)
+            _segment_sums(exc[a - i0:b - i0, c0:], cells[a:b, g:])
     grad *= 2.0 / (n * n)
 
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(_leave_one_out(bs)):
         grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
-    return _combine(spec, n, (exc * bs[-1]).sum(), row_sums), grad
+    return _combine(spec, n, (exc * bs[-1]).sum(), partials), grad
 
 
 def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:

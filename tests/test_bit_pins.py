@@ -9,6 +9,9 @@ row sums with math.fsum (squared values, every value-and-gradient pin and a
 greedy final value; `value_and_gradient` now returns the value pinned in
 VALUE), and computing the IID expectation as J/n without the analytically
 zero constant (EXPECTED_IID).  Every pin is exact, sym_weighted included.
+VALUE_SEGMENTED pins values at n = 300, where each row spans three
+128-column segments, so the segment rule's doubled upper segments are
+pinned too; every other value pin has n <= 128, one segment per row.
 """
 
 from __future__ import annotations
@@ -53,6 +56,20 @@ VALUE = {
     "asd": "0x1.be6036686b7c0p-10",
     "ctr_weighted": "0x1.f6340c4411d40p-6",
     "sym_weighted": "0x1.eeba2c62316c0p-6",
+}
+# squared_value on iid_uniform(300, 3): recorded under the segment rule
+N3 = 300
+VALUE_SEGMENTED = {
+    "asd": "0x1.f729b27898180p-12",
+    "cad": "0x1.a7f6bbbd36320p-15",
+    "ctr": "0x1.099a6a69ffd88p-14",
+    "ctr_weighted": "0x1.c40c9e3489980p-7",
+    "ext": "0x1.33224c11a1080p-16",
+    "mix": "0x1.2ab984aa0b180p-10",
+    "per": "0x1.93f24c9c53680p-12",
+    "star": "0x1.8127e0518d580p-11",
+    "sym": "0x1.1e1f1cedb19f0p-14",
+    "sym_weighted": "0x1.d2bc5b4e0f980p-7",
 }
 CONTRIBUTION = {
     "star": "-0x1.cabdc767f3ef8p-8",
@@ -166,6 +183,12 @@ def points():
 @pytest.mark.parametrize("measure", sorted(VALUE))
 def test_squared_value(measure, points):
     assert float(squared_value(_spec(measure), points.coords)).hex() == VALUE[measure]
+
+
+@pytest.mark.parametrize("measure", sorted(VALUE_SEGMENTED))
+def test_squared_value_segmented(measure):
+    coords = iid_uniform(N3, D, seed=SEED).coords
+    assert float(squared_value(_spec(measure), coords)).hex() == VALUE_SEGMENTED[measure]
 
 
 @pytest.mark.parametrize("measure", sorted(CONTRIBUTION))

@@ -32,6 +32,8 @@ from l2disc.kernels import b_rows, c_cross
 CONTINUOUS_UNWEIGHTED = ["star", "ext", "per", "ctr", "sym", "mix", "asd"]
 CONTINUOUS = CONTINUOUS_UNWEIGHTED + ["ctr_weighted", "sym_weighted"]
 REFLECTION_INVARIANT = ["asd", "sym", "ctr", "per", "cad", "mix"]
+# columns per segment of the value's summation rule: numpy's pairwise leaf
+SEGMENT = 128
 
 
 def _spec(tag, d, gamma=None):
@@ -280,10 +282,17 @@ def _untiled_gradient(spec, coords):
 
 
 def _unblocked_value(spec, coords):
-    """The value from the full (n, n) kernel matrix and its numpy row sums."""
+    """The segment rule on the full (n, n) kernel matrix: row i of row group
+    i // 128 adds the numpy sum of each 128-column segment from its group's
+    own rightward, each later segment doubled, and fsum adds them all."""
     n = coords.shape[0]
-    row_sums = c_cross(spec, coords, coords).sum(axis=1)
-    c_sum = math.fsum(row_sums.tolist())
+    kernel = c_cross(spec, coords, coords)
+    partials = []
+    for i, row in enumerate(kernel):
+        for k0 in range(i // SEGMENT * SEGMENT, n, SEGMENT):
+            total = float(row[k0:k0 + SEGMENT].sum())
+            partials.append(total if k0 <= i else 2.0 * total)
+    c_sum = math.fsum(partials)
     return spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n + c_sum / (n * n)
 
 
@@ -332,7 +341,9 @@ class TestBlockedValue:
     # blocks run from one row to several whole sets, on both sides of a
     # set's n^2 floats, and 64 floats per tile give tiles of one or a few
     # rows; no value or gradient may change, the stacked pass values each
-    # set as squared_value does, and both functions return the same value
+    # set as squared_value does, and both functions return the same value.
+    # The examples at n > 128 cut rows into two or three segments, the last
+    # one 1, 127, 128 or 44 columns wide.
     @settings(max_examples=30, deadline=None)
     @given(
         tag=st.sampled_from([m.value for m in MeasureId]),
@@ -344,6 +355,16 @@ class TestBlockedValue:
     @example(tag="cad", n=80, d=3, r=1, seed=0)
     @example(tag="sym_weighted", n=12, d=5, r=4, seed=1)
     @example(tag="mix", n=1, d=2, r=3, seed=2)
+    @example(tag="star", n=129, d=2, r=1, seed=3)
+    @example(tag="cad", n=129, d=3, r=2, seed=4)
+    @example(tag="per", n=255, d=1, r=1, seed=5)
+    @example(tag="ctr_weighted", n=255, d=2, r=2, seed=6)
+    @example(tag="mix", n=256, d=3, r=1, seed=7)
+    @example(tag="ext", n=256, d=2, r=2, seed=8)
+    @example(tag="sym", n=257, d=2, r=1, seed=9)
+    @example(tag="asd", n=257, d=1, r=2, seed=10)
+    @example(tag="sym_weighted", n=300, d=3, r=1, seed=11)
+    @example(tag="ctr", n=300, d=2, r=2, seed=12)
     def test_leaf_edges_are_invisible(self, tag, n, d, r, seed):
         gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
         spec = _spec(tag, d, gamma=gamma)
@@ -361,10 +382,44 @@ class TestBlockedValue:
             assert value == expected[0]
             assert np.array_equal(grad, _untiled_gradient(spec, stack[0]))
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 127, 128])
+    def test_one_segment_is_the_whole_row(self, n):
+        # at n <= 128 the one segment is the whole row, so every value keeps
+        # the bits of summing each row whole, which the pins were recorded on
+        coords = iid_uniform(n, 3, seed=n).coords
+        for tag in MeasureId:
+            gamma = [0.3, 1.7, 4.9] if tag.value.endswith("_weighted") else None
+            spec = _spec(tag, 3, gamma=gamma)
+            row_sums = c_cross(spec, coords, coords).sum(axis=1)
+            whole_rows = (spec.a - 2.0 * float(b_rows(spec, coords).sum()) / n
+                          + math.fsum(row_sums.tolist()) / (n * n))
+            assert squared_value(spec, coords) == whole_rows
+            if spec.continuous:
+                assert value_and_gradient(spec, coords)[0] == whole_rows
+
+    @pytest.mark.parametrize("n,d", [(129, 2), (129, 4), (1025, 2), (1025, 4)])
+    @pytest.mark.parametrize("tag", [m.value for m in MeasureId])
+    def test_matches_fsum_of_every_product(self, tag, n, d):
+        # the doubled segments stand for the kernel entries left of the
+        # diagonal ones; the value stays within 1e-13 of the size of the
+        # terms that cancel, against fsum over all n^2 products
+        gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
+        spec = _spec(tag, d, gamma=gamma)
+        coords = iid_uniform(n, d, seed=n * d).coords
+        b_terms = b_rows(spec, coords)
+        c_terms = c_cross(spec, coords, coords).reshape(-1)
+        b_sum, c_sum = math.fsum(b_terms.data), math.fsum(c_terms.data)
+        reference = spec.a - 2.0 * b_sum / n + c_sum / (n * n)
+        scale = abs(spec.a) + 2.0 * abs(b_sum) / n + abs(c_sum) / (n * n)
+        value = squared_value(spec, coords)
+        assert abs(value - reference) <= 1e-13 * scale
+        if spec.continuous:
+            assert value_and_gradient(spec, coords)[0] == value
+
     @pytest.mark.parametrize("tag,n,d", [("star", 300, 3), ("mix", 1025, 2), ("ctr", 1025, 5)])
     def test_real_block_is_bit_identical(self, tag, n, d):
-        # rows longer than numpy's 128-float pairwise block, summed in blocks
-        # and tiles of the real sizes
+        # rows of several segments, summed in blocks and tiles of the real
+        # sizes
         spec = _spec(tag, d)
         coords = iid_uniform(n, d, seed=n + d).coords
         value = squared_value(spec, coords)

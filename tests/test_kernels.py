@@ -16,6 +16,7 @@ from l2disc import (
     kernel_spec,
     mc_squared_discrepancy,
 )
+from l2disc.kernels import c_cross
 
 UNWEIGHTED = [
     MeasureId.STAR,
@@ -204,6 +205,20 @@ class TestKernelSymmetry:
             left = spec.c_col(x, z, j)
             right = spec.c_col(z, x, j)
             np.testing.assert_array_equal(left, right)
+
+    @pytest.mark.parametrize("measure", list(MeasureId), ids=lambda m: m.value)
+    def test_c_cross_symmetric_exactly(self, measure):
+        # the evaluator computes the kernel matrix only on and right of its
+        # diagonal segments and doubles the rest, which needs C(x, z) to equal
+        # C(z, x) bit for bit, on kinks and repeated points too
+        gamma = [0.3, 1.7, 4.9] if measure.value.endswith("_weighted") else None
+        spec = kernel_spec(measure, 3, gamma=gamma)
+        rng = np.random.Generator(np.random.Philox(13))
+        edges = [[0.0, 0.5, 1.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.25], [0.25, 1.0, 0.5]]
+        pts = np.vstack([rng.random((150, 3)), edges])
+        pts = np.vstack([pts, pts[::7]])
+        kernel = c_cross(spec, pts, pts)
+        np.testing.assert_array_equal(kernel, kernel.T)
 
 
 class TestAxisArrays:
