@@ -11,9 +11,13 @@ segments are computed.  The value is A - 2 sum B / n + fsum(partials) / n^2
 with math.fsum, the exactly rounded sum.  So values do not depend on how
 many rows a tile holds, `squared_value` equals the value returned by
 `value_and_gradient` bit for bit, and for n <= 128 the one segment is the
-whole row.  The value and gradient come from one pass over row tiles of the
-per-coordinate (T, n) factors with their leave-one-out products, in about
-(2d + 3) n T floats; each gradient row is summed whole.
+whole row.  The value and gradient come from one pass over tiles of one row
+group by a few segments, which computes each pair of segments once.  A
+gradient row follows the same segments: the partial of segment K is the
+numpy sum of its 128 terms for K >= I and, for K < I, their pairwise sum
+down the mirrored tile of row group K; the partials are added in segment
+order.  Tile sizes move no bits, and for n <= 128 each gradient row is one
+numpy sum.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     ValidationError,
     check_unit_cube,
 )
-from .kernels import KernelSpec, b_rows, c_cross, c_diag, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, c_diag, factor_tiles, kernel_spec
 
 __all__ = [
     "squared_value",
@@ -42,10 +46,10 @@ __all__ = [
 ]
 
 _ASD_REFLECTION_MAX_D = 20
-# floats in one (T, n) tile of value_and_gradient: T = max(1, this // (n d)),
-# so a (T, n) array holds about 2^18 / d floats, 256 KiB at d = 8: above
-# glibc's 128 KiB mmap threshold, whose heap trimming slowed smaller tiles
-_TILE_FLOATS = 1 << 18
+# floats in the d factor arrays of one value_and_gradient tile: a tile is a
+# row group by S = max(1, this // (128^2 d)) segments, and its 4d arrays are
+# allocated once per call, 2 MiB for d <= 4 and 4 MiB at d = 8
+_TILE_FLOATS = 1 << 16
 # floats per value tile and greedy chunk
 _SUM_BLOCK = 1 << 14
 # points per column segment of the value: numpy's pairwise sum adds up to
@@ -100,15 +104,17 @@ def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
                 i1 = min(i0 + step, c0 + rows)
                 _segment_sums(c_cross(spec, part[..., i0:i1, :], part[..., c0:, :]),
                               cells[at, i0:i1, g:])
+                # each later segment stands for its mirror image too
+                if width > _SEGMENT:
+                    cells[at, i0:i1, g + 1:] *= 2.0
     # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
     b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
     return [_combine(spec, n, b, p) for b, p in zip(b_sums.tolist(), partials)]
 
 
-def _segment_sums(block: np.ndarray, out: np.ndarray) -> None:
-    """Write the partials of a kernel tile whose columns start at its row
-    group's diagonal segment: the numpy sum of each _SEGMENT-column segment,
-    the first kept and each later one doubled for its mirror image."""
+def _segment_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the numpy sum of each _SEGMENT-column segment of a tile whose
+    columns start at a segment's edge into out, and return out."""
     width = block.shape[-1]
     whole = width // _SEGMENT
     if whole:
@@ -116,8 +122,7 @@ def _segment_sums(block: np.ndarray, out: np.ndarray) -> None:
         segments.sum(axis=-1, out=out[..., :whole])
     if width % _SEGMENT:
         block[..., whole * _SEGMENT:].sum(axis=-1, out=out[..., whole])
-    if width > _SEGMENT:
-        out[..., 1:] *= 2.0
+    return out
 
 
 def _combine(spec: KernelSpec, n: int, b_sum, partials: np.ndarray) -> float:
@@ -164,7 +169,7 @@ def asd_by_reflection(points: PointSet) -> SquaredDiscrepancy:
     return SquaredDiscrepancy(MeasureId.ASD, value, points.n, points.d)
 
 
-def _leave_one_out(factors):
+def _leave_one_out(factors, work=None):
     """Yield prod_{l != j} f_l for j = 0..d-1, with no division (safe at zeros).
 
     Each product is (f_0 ... f_{j-1}) * (f_{d-1} ... f_{j+1}): a running
@@ -172,19 +177,23 @@ def _leave_one_out(factors):
     scan order; the last one, f_0 ... f_{d-2}, is the kernels module's
     coordinate product up to j = d - 2.
     Empty prefixes and suffixes are left out instead of multiplied in as 1.0,
-    which changes no bit and saves two array products per call.
+    which changes no bit and saves two array products per call.  Given
+    ``work``, d arrays shaped like the factors, the products are written
+    into them and each yielded array is overwritten by a later one.
     """
-    if len(factors) == 1:
+    d = len(factors)
+    if d == 1:
         yield 1.0
         return
+    work = [None] * d if work is None else work
     suffixes = [factors[-1]]
-    for f in factors[-2:0:-1]:
-        suffixes.append(suffixes[-1] * f)
+    for f, out in zip(factors[-2:0:-1], work):
+        suffixes.append(np.multiply(suffixes[-1], f, out=out))
     yield suffixes.pop()
     prefix = factors[0]
     for f in factors[1:-1]:
-        yield prefix * suffixes.pop()
-        prefix = prefix * f
+        yield np.multiply(prefix, suffixes.pop(), out=work[-2])
+        prefix = np.multiply(prefix, f, out=work[-1])
     yield prefix
 
 
@@ -200,12 +209,19 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
     """Fused squared value and gradient from one leave-one-out pass.
 
-    The C part runs over row tiles of T = max(1, 2^18 // (n d)) points.
-    A tile keeps the d per-coordinate (T, n) C factors, their d - 1 suffix
-    products and a few (T, n) work arrays alive: about (2d + 3) n T floats.
-    Every gradient row is summed whole, and the value takes the segment
-    rule's partials off the same full rows, so neither value nor gradient
-    depends on T and the value is `squared_value`'s bit for bit.
+    The C part runs over tiles of one row group I: its diagonal segment,
+    then its segments K > I a few at a time.  Each (I, K > I) pair is
+    computed once: the tile's row sums give rows of I their segment-K
+    partials and the column sums of the mirrored derivative, dC(z, x)/dx
+    times the same leave-one-out product (exc is symmetric), give rows of K
+    their segment-I partials.  Each row adds its per-segment partials in
+    segment order, so neither value nor gradient depends on the tile size,
+    and for n <= 128 the one tile sums whole rows.  The value takes the
+    segment rule's partials off the C products of the same tiles, so it is
+    `squared_value`'s bit for bit.  The factors, their derivatives, their
+    mirrors and the leave-one-out products are four (d, 128, 128 S) arrays
+    (three with no mirror), S = max(1, 2^16 // (128^2 d)) segments,
+    allocated once per call: at most 2 MiB for d <= 4, 4 MiB at d = 8.
     """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
@@ -213,38 +229,79 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
         )
     coords = _checked_coords(spec, coords)
     n, d = coords.shape
+    fill, mirrored = factor_tiles(spec)
     grad = np.empty((n, d))
-
-    # the factors are laid out [i, k] = C_j(x_ij, x_kj), as in c_cross, and
-    # the product left out at j = d - 1 is the prefix chain f_0 ... f_{d-2},
-    # so exc * cs[-1] and exc * bs[-1] have the bits of c_cross and b_rows;
-    # right[j] is a contiguous copy of column j, which numpy's broadcast
-    # (T, 1) x (1, n) loops run faster on than on a strided view
-    step = max(1, _TILE_FLOATS // (n * d))
-    right = np.ascontiguousarray(coords.T)[:, None, :]
     groups = -(-n // _SEGMENT)
     partials = np.zeros(n * groups)
     cells = partials.reshape(n, groups)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        left = coords[i0:i1].T[:, :, None]
-        cs = [spec.c_col(left[j], right[j], j) for j in range(d)]
-        for j, exc in enumerate(_leave_one_out(cs)):
-            dct = spec.c_dx_col(left[j], right[j], j)
-            dct *= exc
-            dct.sum(axis=1, out=grad[i0:i1, j])
-        # in place: no second tile-sized array; exc is not read again
-        exc *= cs[-1]
-        for g in range(i0 // _SEGMENT, (i1 - 1) // _SEGMENT + 1):
-            c0 = g * _SEGMENT
-            a, b = max(i0, c0), min(i1, c0 + _SEGMENT)
-            _segment_sums(exc[a - i0:b - i0, c0:], cells[a:b, g:])
+
+    # the factors are laid out [j, i, k] = C_j(x_ij, x_kj), as in c_cross,
+    # and the product left out at j = d - 1 is the prefix chain
+    # f_0 ... f_{d-2}, so exc * cs[-1] and exc * bs[-1] have the bits of
+    # c_cross and b_rows; right is a contiguous copy of the columns, which
+    # numpy's broadcast (m, 1) x (1, k) loops run faster on than on strided
+    # views.  Every row's segment-0 partial comes from row group 0, so g == 0
+    # writes the partials and later groups add theirs in segment order.
+    right = np.ascontiguousarray(coords.T)[:, None, :]
+    width = _SEGMENT * max(1, _TILE_FLOATS // (_SEGMENT * _SEGMENT * d))
+    # (d, m, k) tile arrays, one allocation each: the factors, their
+    # derivatives, the leave-one-out products (x - z first) and the mirrors
+    m = min(n, _SEGMENT)
+    bufs = [np.empty((d, m * min(n, width))) for _ in range(4 if mirrored and n > m else 3)]
+    row_parts = np.empty((m, width // _SEGMENT))
+    for g, c0 in enumerate(range(0, n, _SEGMENT)):
+        c1 = min(c0 + _SEGMENT, n)
+        left = coords[c0:c1].T[:, :, None]
+        for k0 in [c0, *range(c1, n, width)]:
+            k1 = c1 if k0 == c0 else min(k0 + width, n)
+            upper = k0 > c0
+            cs, dcs, work, *ms = [b[:, :(c1 - c0) * (k1 - k0)].reshape(d, c1 - c0, k1 - k0)
+                                  for b in bufs]
+            ms = ms[0] if upper and ms else None
+            fill(left, right[:, :, k0:k1], cs, dcs, ms, work)
+            segments = slice(k0 // _SEGMENT, -(-k1 // _SEGMENT))
+            for j, exc in enumerate(_leave_one_out(list(cs), list(work))):
+                dct = dcs[j]
+                dct *= exc
+                if g == 0 and not upper:
+                    dct.sum(axis=1, out=grad[c0:c1, j])
+                else:
+                    parts = row_parts[:c1 - c0, :segments.stop - segments.start]
+                    for part in _segment_sums(dct, parts).T:
+                        grad[c0:c1, j] += part
+                if not upper:
+                    continue
+                # the rows of the tile's columns get their segment-g partials
+                if mirrored:
+                    ms[j] *= exc
+                    part = _column_sums(ms[j])
+                else:
+                    part = np.negative(_column_sums(dct))
+                if g == 0:
+                    grad[k0:k1, j] = part
+                else:
+                    grad[k0:k1, j] += part
+            # in place: no second tile-sized array; exc is not read again
+            exc *= cs[-1]
+            _segment_sums(exc, cells[c0:c1, segments])
+            if upper:
+                cells[c0:c1, segments] *= 2.0
     grad *= 2.0 / (n * n)
 
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(_leave_one_out(bs)):
         grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
     return _combine(spec, n, (exc * bs[-1]).sum(), partials), grad
+
+
+def _column_sums(tile: np.ndarray) -> np.ndarray:
+    """The column sums of a full row group's (128, k) tile, summed pairwise
+    down the rows in place, so that no sum depends on k."""
+    h = _SEGMENT // 2
+    while h:
+        tile[:h] += tile[h:2 * h]
+        h //= 2
+    return tile[0]
 
 
 def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:

@@ -53,6 +53,13 @@ __all__ = ["KernelSpec", "kernel_spec", "expectation_constants"]
 # ---------------------------------------------------------------------------
 
 
+def _chain(c):
+    """Where the later steps of a factor's ufunc chain write: over c, the
+    array its first step wrote, or nowhere (a new result) when scalar
+    arguments made c a numpy scalar."""
+    return c if c.ndim else None
+
+
 def _b_star(x):
     return (1.0 - x * x) / 2.0
 
@@ -61,13 +68,18 @@ def _db_star(x):
     return -x
 
 
-def _c_star(x, z):
-    return 1.0 - np.maximum(x, z)
+def _c_star(x, z, t=None, out=None, tmp=None):
+    c = np.maximum(x, z, out=out)
+    return np.subtract(1.0, c, out=_chain(c))
 
 
-def _dc_star(x, z):
-    # d/dx [1 - max(x,z)]: -1 where x > z, -1/2 on the tie, 0 where x < z
-    return -((x > z).astype(np.float64)) - 0.5 * (x == z)
+def _dc_star(x, z, t, out=None, tmp=None, mirror=None):
+    # d/dx [1 - max(x,z)]: -1 where x > z, -1/2 on the tie, -0.0 where x < z,
+    # which is -(1 + s)/2 with s = sign(x - z), exactly
+    s = np.sign(t, out=tmp)
+    if mirror is not None:
+        np.multiply(np.subtract(1.0, s, out=mirror), -0.5, out=mirror)
+    return np.multiply(np.add(s, 1.0, out=out), -0.5, out=out)
 
 
 def _b_ext(x):
@@ -78,22 +90,32 @@ def _db_ext(x):
     return 0.5 - x
 
 
-def _c_ext(x, z):
-    return np.minimum(x, z) - x * z
+def _c_ext(x, z, t=None, out=None, tmp=None):
+    c = np.minimum(x, z, out=out)
+    return np.subtract(c, np.multiply(x, z, out=tmp), out=_chain(c))
 
 
-def _dc_ext(x, z):
-    return (x < z).astype(np.float64) + 0.5 * (x == z) - z
+def _dc_ext(x, z, t, out=None, tmp=None, mirror=None):
+    # [x < z] + [x == z]/2 - z, the step being (1 - s)/2 exactly
+    s = np.sign(t, out=tmp)
+    if mirror is not None:
+        np.multiply(np.add(1.0, s, out=mirror), 0.5, out=mirror)
+        np.subtract(mirror, x, out=mirror)
+    return np.subtract(np.multiply(np.subtract(1.0, s, out=out), 0.5, out=out), z, out=out)
 
 
-def _c_per(x, z):
-    t = x - z
-    return 0.5 - np.abs(t) + t * t
+def _c_per(x, z, t=None, out=None, tmp=None):
+    # 1/2 - |t| + t^2
+    t = x - z if t is None else t
+    c = np.abs(t, out=out)
+    into = _chain(c)
+    c = np.subtract(0.5, c, out=into)
+    return np.add(c, np.multiply(t, t, out=tmp), out=into)
 
 
-def _dc_per(x, z):
-    t = x - z
-    return -np.sign(t) + 2.0 * t
+def _dc_per(x, z, t, out=None, tmp=None):
+    # -sign(t) + 2t
+    return np.subtract(np.multiply(t, 2.0, out=out), np.sign(t, out=tmp), out=out)
 
 
 def _b_ctr(x):
@@ -106,12 +128,20 @@ def _db_ctr(x):
     return 0.5 * np.sign(u) - u
 
 
-def _c_ctr(x, z):
-    return (np.abs(x - 0.5) + np.abs(z - 0.5) - np.abs(x - z)) / 2.0
+def _c_ctr(x, z, t=None, out=None, tmp=None):
+    # (|x - 1/2| + |z - 1/2| - |t|) / 2
+    c = np.add(np.abs(x - 0.5), np.abs(z - 0.5), out=out)
+    into = _chain(c)
+    c = np.subtract(c, np.abs(x - z if t is None else t, out=tmp), out=into)
+    return np.multiply(c, 0.5, out=into)
 
 
-def _dc_ctr(x, z):
-    return 0.5 * (np.sign(x - 0.5) - np.sign(x - z))
+def _dc_ctr(x, z, t, out=None, tmp=None, mirror=None):
+    # (sign(x - 1/2) - sign(x - z)) / 2
+    s = np.sign(t, out=tmp)
+    if mirror is not None:
+        np.multiply(np.add(np.sign(z - 0.5), s, out=mirror), 0.5, out=mirror)
+    return np.multiply(np.subtract(np.sign(x - 0.5), s, out=out), 0.5, out=out)
 
 
 def _c_cad(x, z):
@@ -125,12 +155,16 @@ def _c_cad(x, z):
     return (vx == vz) * np.minimum(ax, az)
 
 
-def _c_sym(x, z):
-    return (1.0 - 2.0 * np.abs(x - z)) / 4.0
+def _c_sym(x, z, t=None, out=None, tmp=None):
+    # (1 - 2|t|) / 4
+    c = np.abs(x - z if t is None else t, out=out)
+    into = _chain(c)
+    c = np.subtract(1.0, np.multiply(2.0, c, out=into), out=into)
+    return np.multiply(c, 0.25, out=into)
 
 
-def _dc_sym(x, z):
-    return -0.5 * np.sign(x - z)
+def _dc_sym(x, z, t, out=None, tmp=None):
+    return np.multiply(-0.5, np.sign(t, out=out), out=out)
 
 
 def _b_mix(x):
@@ -143,26 +177,34 @@ def _db_mix(x):
     return -np.sign(u) / 4.0 - u / 2.0
 
 
-def _c_mix(x, z):
-    t = np.abs(x - z)
-    return (
-        7.0 / 8.0
-        - (np.abs(x - 0.5) + np.abs(z - 0.5)) / 4.0
-        - 0.75 * t
-        + 0.5 * t * t
-    )
+def _c_mix(x, z, t=None, out=None, tmp=None):
+    # 7/8 - (|x - 1/2| + |z - 1/2|)/4 - 3|t|/4 + |t|^2/2; (t/2) t has the
+    # bits of (|t|/2) |t|
+    t = x - z if t is None else t
+    c = np.add(np.abs(x - 0.5), np.abs(z - 0.5), out=out)
+    into = _chain(c)
+    c = np.subtract(7.0 / 8.0, np.multiply(c, 0.25, out=into), out=into)
+    c = np.subtract(c, np.multiply(0.75, np.abs(t, out=tmp), out=tmp), out=into)
+    return np.add(c, np.multiply(np.multiply(0.5, t, out=tmp), t, out=tmp), out=into)
 
 
-def _dc_mix(x, z):
-    return -np.sign(x - 0.5) / 4.0 - 0.75 * np.sign(x - z) + (x - z)
+def _dc_mix(x, z, t, out=None, tmp=None, mirror=None):
+    # -sign(x - 1/2)/4 - 3 sign(t)/4 + t; t is read last, so tmp is unused
+    s = np.multiply(0.75, np.sign(t, out=out), out=out)
+    if mirror is not None:
+        np.subtract(np.add(-np.sign(z - 0.5) / 4.0, s, out=mirror), t, out=mirror)
+    return np.add(np.subtract(-np.sign(x - 0.5) / 4.0, s, out=out), t, out=out)
 
 
 def _b_asd(x):
     return (1.0 + 2.0 * x - 2.0 * x * x) / 4.0
 
 
-def _c_asd(x, z):
-    return (1.0 - np.abs(x - z)) / 2.0
+def _c_asd(x, z, t=None, out=None, tmp=None):
+    # (1 - |t|) / 2
+    c = np.abs(x - z if t is None else t, out=out)
+    into = _chain(c)
+    return np.multiply(np.subtract(1.0, c, out=into), 0.5, out=into)
 
 
 def _zero(x):
@@ -173,7 +215,15 @@ def _zero(x):
 
 # Unweighted measures: (B, B', C, dC/dx, A(d)); a factor shared by several
 # measures is defined once, under the first of them.  cad's kernel jumps at
-# 1/2, so it has no dC/dx and no gradient.
+# 1/2, so it has no dC/dx and no gradient.  C and dC/dx are ufunc chains,
+# in the order of their formulas (a product by 1/2 or 1/4 has the bits of
+# the quotient by 2 or 4, and is faster), over the difference t = x - z (formed from
+# x and z when not given).  With out=None they return new arrays (c_col,
+# c_dx_col); given arrays, they write into them (the evaluator's factor
+# tiles), with the same bits.  C(x, z, t, out, tmp) may use tmp as scratch;
+# dC/dx(x, z, t, out, tmp, mirror) may write the sign of t over tmp once it
+# has read t, and from the same sign writes the mirrored derivative
+# dC(z, x)/dx into `mirror`.
 _PLAIN = {
     MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d),
     MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d),
@@ -188,6 +238,10 @@ _PLAIN = {
 # Measures with a set-based definition, which the Monte Carlo oracle
 # estimates: every unweighted measure but mix
 _GEOMETRIC = frozenset(_PLAIN) - {MeasureId.MIX}
+
+# Measures whose dC/dx is odd in x - z: the mirrored derivative dC(z, x)/dx
+# is -dC(x, z)/dx exactly, so it is never formed
+_ODD_DERIVATIVE = frozenset({MeasureId.PER, MeasureId.SYM, MeasureId.ASD})
 
 
 @dataclass(frozen=True)
@@ -255,8 +309,9 @@ def b_rows(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 def c_cross(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """prod_j C_j(l_ij, r_kj) for (..., n, d) and (..., m, d) arrays with the
     same leading axes, shape (..., n, m)."""
-    out = np.ones(left.shape[:-1] + right.shape[-2:-1])
-    for j in range(spec.d):
+    # the first factor is the accumulator: 1.0 * C_0 has the bits of C_0
+    out = spec.c_col(left[..., :, None, 0], right[..., None, :, 0], 0)
+    for j in range(1, spec.d):
         out *= spec.c_col(left[..., :, None, j], right[..., None, :, j], j)
     return out
 
@@ -365,6 +420,16 @@ def expectation_constants(spec: KernelSpec):
 # ---------------------------------------------------------------------------
 
 
+def _base_measure(measure: MeasureId) -> MeasureId:
+    """The unweighted measure whose factors a (weighted) measure reweights."""
+    return MeasureId(measure.value.removesuffix("_weighted"))
+
+
+def _weighted(g, c, out=None):
+    """The product-weight transform C -> 1 + g C, into ``out`` if given."""
+    return np.add(1.0, np.multiply(g, c, out=out), out=out)
+
+
 def _factor_columns(measure: MeasureId, gamma: Optional[np.ndarray]):
     """(b_col, b_prime_col, c_col, c_dx_col) taking the coordinate index j.
 
@@ -377,15 +442,50 @@ def _factor_columns(measure: MeasureId, gamma: Optional[np.ndarray]):
             lambda x, j: b(x),
             lambda x, j: db(x),
             lambda x, z, j: c(x, z),
-            None if dc is None else (lambda x, z, j: dc(x, z)),
+            None if dc is None else (lambda x, z, j: dc(x, z, x - z)),
         )
     g = gamma
     return (
         lambda x, j: 1.0 + g[j] * b(x),
         lambda x, j: g[j] * db(x),
-        lambda x, z, j: 1.0 + g[j] * c(x, z),
-        lambda x, z, j: g[j] * dc(x, z),
+        lambda x, z, j: _weighted(g[j], c(x, z)),
+        lambda x, z, j: g[j] * dc(x, z, x - z),
     )
+
+
+def factor_tiles(spec: KernelSpec):
+    """(fill, mirrored): the fused per-coordinate factors of a continuous spec.
+
+    ``fill(x, z, c, dc, mirror, t)`` takes the (d, m, 1) columns x and
+    (d, 1, k) rows z of all d coordinates and (d, m, k) arrays.  It writes
+    x - z into t, then C_j(x, z) into c, dC_j/dx(x, z) into dc and, unless
+    mirror is None, dC_j(z, x)/dx into mirror; t ends as scratch.  Entry j of
+    each has the bits of c_col(x_j, z_j, j), c_dx_col(x_j, z_j, j) and
+    c_dx_col(z_j, x_j, j).  ``mirrored`` is False for an odd derivative,
+    whose mirror is -dC exactly and is never written.  Weighted measures get
+    1 + g_j C and g_j dC in place.
+    """
+    g = spec.gamma
+    base = spec.measure if g is None else _base_measure(spec.measure)
+    c_of, dc_of = _PLAIN[base][2:4]
+    mirrored = base not in _ODD_DERIVATIVE
+    g = None if g is None else g[:, None, None]
+
+    def fill(x, z, c, dc, mirror, t):
+        # dc is C's scratch until dC is written, and t dC's once it is read
+        np.subtract(x, z, out=t)
+        c_of(x, z, t, c, dc)
+        if mirror is None:
+            dc_of(x, z, t, dc, t)
+        else:
+            dc_of(x, z, t, dc, t, mirror)
+        if g is not None:
+            _weighted(g, c, out=c)
+            np.multiply(g, dc, out=dc)
+            if mirror is not None:
+                np.multiply(g, mirror, out=mirror)
+
+    return fill, mirrored
 
 
 def kernel_spec(
@@ -415,7 +515,7 @@ def kernel_spec(
                 f"gamma has length {wv.d} but the point dimension is {d}"
             )
         g = wv.gamma
-        base = MeasureId(measure.value.removesuffix("_weighted"))
+        base = _base_measure(measure)
         # A(1) rounds 1/12 but 1/A(1) rounds back to exactly 12, so the
         # division gives the correctly rounded g_j/12 where g_j * A(1) is an
         # ulp off for some g_j

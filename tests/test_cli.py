@@ -308,7 +308,7 @@ class TestExitCodes:
         (["crosseval", "--measure", "star"],
          "crosseval needs >= 2 comma-separated measures"),
         (["crosseval", "--measure", "star,asd"],
-         "missing optimized set file {asd}"),
+         "{asd}: cannot read: No such file or directory"),
         (["pathology", "--d", 0], "pathology needs --d (maximum dimension) >= 1"),
     ], ids=["crosseval-one-measure", "crosseval-missing-set", "pathology-d0"])
     def test_unusable_request_is_one_error_line(self, tmp_path, capsys, argv,

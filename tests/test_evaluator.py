@@ -236,8 +236,9 @@ class TestGradient:
                 assert abs(grad[i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_peak_memory_is_per_coordinate_factors(self):
-        # the leave-one-out pass keeps about 2d + 3 (n, n) arrays alive; a
-        # pass over (n, n, d) factor tensors and their scans needs ~5d and fails
+        # the tiles of one row group by one segment keep 4d arrays of
+        # 128 x 128 floats here, 4 MiB; a pass over (n, n, d) factor tensors
+        # and their scans needs ~5d (n, n) arrays and fails
         n, d = 256, 8
         spec = _spec("ctr", d)
         coords = iid_uniform(n, d, seed=5).coords
@@ -250,8 +251,8 @@ class TestGradient:
         assert peak <= 3 * d * n * n * 8
 
     def test_peak_memory_does_not_grow_with_n_squared(self):
-        # column tiles keep about (2d + 3) n T floats alive; one (n, n) pass
-        # over the same points peaks at 144 MiB
+        # the tiles keep 4d arrays of 128 x 128 floats alive whatever n is,
+        # 4 MiB; one (n, n) pass over the same points peaks at 144 MiB
         n, d = 1024, 8
         spec = _spec("ctr", d)
         coords = iid_uniform(n, d, seed=6).coords
@@ -274,6 +275,41 @@ def _untiled_gradient(spec, coords):
         dct = spec.c_dx_col(col[:, None], col, j)
         dct *= exc
         grad[:, j] = dct.sum(axis=1)
+    grad *= 2.0 / (n * n)
+    bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(evaluator._leave_one_out(bs)):
+        grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
+    return grad
+
+
+def _segmented_gradient(spec, coords):
+    """The gradient under the segment rule, from full (n, n) matrices
+    D_j = dC_j * exc_j: row r of row group G takes, for each 128-column
+    segment K, the numpy sum of its D_j entries when K >= G, or their sum
+    by a pairwise halving tree when K < G (the column sums of the mirrored
+    tile of K's rows), and adds the partials in segment order."""
+    n, d = coords.shape
+    grad = np.empty((n, d))
+    cs = [spec.c_col(col[:, None], col[None, :], j) for j, col in enumerate(coords.T)]
+    for j, exc in enumerate(evaluator._leave_one_out(cs)):
+        col = coords[:, j]
+        dct = spec.c_dx_col(col[:, None], col, j) * exc
+        for r0 in range(0, n, SEGMENT):
+            rows = slice(r0, min(r0 + SEGMENT, n))
+            for k0 in range(0, n, SEGMENT):
+                block = dct[rows, k0:k0 + SEGMENT].copy()
+                if k0 < r0:
+                    h = SEGMENT // 2
+                    while h:
+                        block[:, :h] += block[:, h:2 * h]
+                        h //= 2
+                    part = block[:, 0]
+                else:
+                    part = block.sum(axis=1)
+                if k0 == 0:
+                    grad[rows, j] = part
+                else:
+                    grad[rows, j] += part
     grad *= 2.0 / (n * n)
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(evaluator._leave_one_out(bs)):
@@ -380,7 +416,9 @@ class TestBlockedValue:
                 mp.setattr(evaluator, "_TILE_FLOATS", 64)
                 value, grad = value_and_gradient(spec, stack[0])
             assert value == expected[0]
-            assert np.array_equal(grad, _untiled_gradient(spec, stack[0]))
+            reference = (_untiled_gradient if n <= SEGMENT else _segmented_gradient)(spec, stack[0])
+            assert np.array_equal(grad, reference)
+            assert np.array_equal(value_and_gradient(spec, stack[0])[1], grad)
 
     @pytest.mark.parametrize("n", [1, 7, 64, 127, 128])
     def test_one_segment_is_the_whole_row(self, n):

@@ -16,7 +16,7 @@ from l2disc import (
     kernel_spec,
     mc_squared_discrepancy,
 )
-from l2disc.kernels import c_cross
+from l2disc.kernels import c_cross, factor_tiles
 
 UNWEIGHTED = [
     MeasureId.STAR,
@@ -219,6 +219,39 @@ class TestKernelSymmetry:
         pts = np.vstack([pts, pts[::7]])
         kernel = c_cross(spec, pts, pts)
         np.testing.assert_array_equal(kernel, kernel.T)
+
+
+class TestFactorTiles:
+    # value_and_gradient takes C, dC/dx and the mirrored dC(z, x)/dx of all
+    # coordinates from one difference x - z, written into reused arrays;
+    # each must keep the bits of c_col and c_dx_col, on the ties x == z and
+    # the kinks at 0, 1/2 and 1 of the subgradient conventions too
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.continuous] + [
+        kernel_spec("ctr_weighted", 3, gamma=[0.3, 1.7, 4.9]),
+        kernel_spec("sym_weighted", 3, gamma=[0.3, 1.7, 4.9]),
+    ], ids=lambda s: f"{s.measure.value}-d{s.d}")
+    def test_fused_factors_have_the_column_bits(self, spec):
+        rng = np.random.Generator(np.random.Philox(19))
+        kinks = np.array([0.0, 0.5, 1.0, 0.25, 0.75, 0.5 - 2**-53, 0.5 + 2**-52])
+        cols = np.vstack([rng.random((60, spec.d)),
+                          np.repeat(kinks[:, None], spec.d, axis=1)]).T
+        x, z = cols[:, :, None], cols[:, None, :]
+        fill, mirrored = factor_tiles(spec)
+        c, dc, mirror, t = np.full((4, spec.d) + (cols.shape[1],) * 2, np.nan)
+        fill(x, z, c, dc, mirror if mirrored else None, t)
+        bits = lambda a: np.asarray(a).view(np.uint64)
+        for j in range(spec.d):
+            np.testing.assert_array_equal(bits(c[j]), bits(spec.c_col(x[j], z[j], j)))
+            np.testing.assert_array_equal(bits(dc[j]), bits(spec.c_dx_col(x[j], z[j], j)))
+            swapped = spec.c_dx_col(z[j], x[j], j)
+            if mirrored:
+                np.testing.assert_array_equal(bits(mirror[j]), bits(swapped))
+            else:
+                # an odd derivative: -dC, equal as numbers (the sign of a
+                # zero on the tie may differ)
+                np.testing.assert_array_equal(-dc[j], swapped)
+        assert mirrored == (spec.measure.value.removesuffix("_weighted")
+                            not in ("per", "sym", "asd"))
 
 
 class TestAxisArrays:
