@@ -39,6 +39,7 @@ max/min contribute slope one-half.  With these choices the diagonal pair
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -329,13 +330,16 @@ def c_diag(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 # quadrature for the expectation constants
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes and weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+@cache
+def _gauss_legendre():
+    """24-point Gauss-Legendre nodes and weights on [-1, 1], loaded on first use."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(24)
 
 
 def _quad_interval(f, lo: float, hi: float) -> float:
     """Gauss-Legendre integral of f over [lo, hi]."""
-    x, w = _GL_X, _GL_W
+    x, w = _gauss_legendre()
     half = (hi - lo) / 2.0
     nodes = lo + half * (x + 1.0)
     return float(half * np.dot(w, f(nodes)))
@@ -354,7 +358,7 @@ def _quad_triangle(f, lo: float, hi: float, lower: bool) -> float:
     iterated integrand polynomial whenever f is polynomial on the triangle,
     so the rule stays exact to rounding for the kernels here.
     """
-    x, w = _GL_X, _GL_W
+    x, w = _gauss_legendre()
     half = (hi - lo) / 2.0
     u = lo + half * (x + 1.0)  # outer nodes, shape (k,)
     if lower:
@@ -369,7 +373,7 @@ def _quad_triangle(f, lo: float, hi: float, lower: bool) -> float:
 
 
 def _quad_rect(f, ulo, uhi, vlo, vhi) -> float:
-    x, w = _GL_X, _GL_W
+    x, w = _gauss_legendre()
     uh, vh = (uhi - ulo) / 2.0, (vhi - vlo) / 2.0
     u = ulo + uh * (x + 1.0)
     v = vlo + vh * (x + 1.0)

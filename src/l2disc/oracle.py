@@ -36,9 +36,11 @@ Test-region conventions per measure (x is a set point, a and b anchors):
         closed form.
 
 Every region but sym is a product of one half-open interval lo_j <= x_j < hi_j
-per coordinate (per's wraparound is the complement of [b_j, a_j)), so
-membership is those intervals ANDed into one (m, n) array for m regions and
-n points; sym's is the parity of the count of x_j >= a_j.
+per coordinate (per's wraparound is the complement of [b_j, a_j)); sym's
+membership is the parity of the count of x_j >= a_j.  Blocks of at most 255
+points are compared, coordinate by coordinate, against a chunk's anchors laid
+out as (d, m) rows, into reused bool buffers; each block's column sums are
+exact uint8 counts, added into integer counts, so blocks move no bit.
 
 All estimators stream through a fixed chunk size with Philox streams keyed
 by the seed, so an estimate is a pure function of (inputs, samples, seed).
@@ -103,45 +105,55 @@ def _require_geometric(measure: MeasureId) -> MeasureId:
     return measure
 
 
-def _region_inside_volume(
+def _region_counts(
     measure: MeasureId, coords: np.ndarray, a: np.ndarray, b: "np.ndarray | None"
 ):
-    """Vectorized membership and volume for a batch of test regions.
+    """Point counts (m,) and volumes (m,) for a batch of test regions.
 
-    coords: (n, d) set points; a, b: (m, d) anchor draws.  Returns
-    (inside (m, n) bool, volume (m,)).  Each product region is one interval
-    lo_j <= x_j < hi_j per coordinate (complemented where per's a_j > b_j),
-    ANDed over the coordinates; sym XORs x_j >= a_j into a parity.  An
-    inverted ext pair has an empty interval: an empty box of volume 0.
+    coords: (n, d) set points; a, b: (m, d) anchor draws, taken as (d, m)
+    rows.  A product region is x_j < hi_j, and lo_j <= x_j where it has a
+    lower end (x_j >= 0 always holds), XORed with flip_j where per wraps or
+    ctr's and asd's vertex end is closed, ANDed over the coordinates; sym
+    XORs x_j >= a_j into a parity.  An inverted ext pair has an empty
+    interval: an empty box of volume 0.
     """
-    inside = np.ones((a.shape[0], coords.shape[0]), dtype=bool)
-    flip = None
+    a, b = (None if v is None else np.ascontiguousarray(v.T) for v in (a, b))
+    lo = flip = None
+    hi, compare, combine = a, np.less, np.bitwise_and
     if measure is MeasureId.STAR:
-        lo, hi = np.zeros_like(a), a
-        volume = a.prod(axis=1)
+        volume = a.prod(axis=0)
     elif measure is MeasureId.EXT:
         lo, hi = a, b
-        volume = np.where((a <= b).all(axis=1), (b - a).prod(axis=1), 0.0)
+        volume = np.where((a <= b).all(axis=0), (b - a).prod(axis=0), 0.0)
     elif measure is MeasureId.PER:
         lo, hi, flip = np.minimum(a, b), np.maximum(a, b), a > b
-        volume = np.where(a <= b, b - a, 1.0 - a + b).prod(axis=1)
+        volume = np.where(a <= b, b - a, 1.0 - a + b).prod(axis=0)
     elif measure in (MeasureId.CTR, MeasureId.ASD):
         # the box's vertex coordinate is 1 (its end is closed) where the
         # anchor it is nearest to, a for ctr and b for asd, is >= 1/2
-        upper = (a if measure is MeasureId.CTR else b) >= 0.5
-        lo, hi = np.where(upper, a, 0.0), np.where(upper, np.inf, a)
-        volume = np.where(upper, 1.0 - a, a).prod(axis=1)
+        flip = (a if measure is MeasureId.CTR else b) >= 0.5
+        volume = np.where(flip, 1.0 - a, a).prod(axis=0)
     elif measure is MeasureId.CAD:
         lo, hi = np.minimum(a, 0.5), np.maximum(a, 0.5)
-        volume = np.abs(a - 0.5).prod(axis=1)
+        volume = np.abs(a - 0.5).prod(axis=0)
     else:  # sym
-        for x, aj in zip(coords.T, a.T):
-            inside ^= x >= aj[:, None]
-        return inside, (1.0 + (2.0 * a - 1.0).prod(axis=1)) / 2.0
-    for j, x in enumerate(coords.T):
-        hit = (x >= lo[:, j, None]) & (x < hi[:, j, None])
-        inside &= hit if flip is None else hit ^ flip[:, j, None]
-    return inside, volume
+        compare, combine = np.greater_equal, np.bitwise_xor
+        volume = (1.0 + (2.0 * a - 1.0).prod(axis=0)) / 2.0
+    counts = np.zeros(a.shape[1], dtype=np.intp)
+    # a uint8 column sum counts at most 255 points exactly
+    buffers = np.empty((3, min(len(coords), 255), a.shape[1]), dtype=bool)
+    for p in range(0, len(coords), 255):
+        inside, hit, low = buffers[:, :len(coords) - p]
+        inside[...] = True  # also sym's parity: no x_j >= a_j yet is even
+        for j, x in enumerate(coords[p:p + 255].T[:, :, None]):
+            compare(x, hi[j], out=hit)
+            if lo is not None:
+                hit &= np.greater_equal(x, lo[j], out=low)
+            if flip is not None:
+                hit ^= flip[j]
+            combine(inside, hit, out=inside)
+        counts += np.add.reduce(inside.view(np.uint8), axis=0, dtype=np.uint8)
+    return counts, volume
 
 
 def _estimate(draw, count: int, chunk: int, seed: int) -> OracleEstimate:
@@ -191,8 +203,8 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
         if b is not None:
             raise ValidationError(f"measure {measure} takes a single anchor")
         ba = None
-    inside, volume = _region_inside_volume(measure, xa, aa, ba)
-    return bool(inside[0, 0]), float(volume[0])
+    counts, volume = _region_counts(measure, xa, aa, ba)
+    return bool(counts[0]), float(volume[0])
 
 
 def local_discrepancy(points: PointSet, inside: np.ndarray, volume: float) -> float:
@@ -227,8 +239,8 @@ def mc_squared_discrepancy(
     def draw(gen, m):
         a = gen.random((m, d))
         b = gen.random((m, d)) if two_anchor else None
-        inside, volume = _region_inside_volume(measure, points.coords, a, b)
-        delta = (inside.sum(axis=1).astype(np.float64) / points.n - volume) * delta_scale
+        counts, volume = _region_counts(measure, points.coords, a, b)
+        delta = (counts.astype(np.float64) / points.n - volume) * delta_scale
         return delta * delta
 
     return _estimate(draw, samples, _CHUNK, seed)

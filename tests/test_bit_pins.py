@@ -144,8 +144,12 @@ GREEDY_PATTERN = ("0x1.8240a00674d80p-10",
                   "d005a6eac6142fc2b390bc2bd70e4bd1743e98dc5e4d983d38b7ed5192ece860")
 OPTIMIZE_PER_FINAL = "0x1.a7fb9cdbdfc58p-8"
 # geometric oracle (mean, stderr) on iid_uniform(8, d) with 70 000 anchors:
-# one full accumulation chunk and a partial second one
+# one full accumulation chunk and a partial second one; the "-n300" cases
+# run on iid_uniform(300, d), whose points span two 255-point count blocks
 MC_SQUARED = {
+    "asd-d1": ("0x1.78361b04180f0p-8", "0x1.da90a572baad4p-16"),
+    "asd-d2": ("0x1.5df53185f1449p-7", "0x1.b84933d1ea26dp-15"),
+    "asd-d3": ("0x1.74a7dd8d8ac37p-7", "0x1.6325bcb94bf2cp-14"),
     "cad-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
     "cad-d2": ("0x1.96f3748eb1930p-9", "0x1.2f8b010776e0ap-16"),
     "cad-d3": ("0x1.1b6a8717ba036p-10", "0x1.697be13d972fbp-17"),
@@ -158,12 +162,15 @@ MC_SQUARED = {
     "per-d1": ("0x1.39413a06c4e49p-7", "0x1.a5f78a2938362p-15"),
     "per-d2": ("0x1.e911c5925ac86p-7", "0x1.7eecf1bb75741p-14"),
     "per-d3": ("0x1.1df909116cf90p-7", "0x1.07155873b2f55p-14"),
+    "per-d2-n300": ("0x1.6fe276644d0cdp-11", "0x1.110af360c81dfp-18"),
     "star-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
     "star-d2": ("0x1.2642e4fb13d1fp-7", "0x1.c09f2cfb01e74p-15"),
     "star-d3": ("0x1.600b4d5939573p-8", "0x1.2aaf9547500fdp-15"),
+    "star-d3-n300": ("0x1.81fa00bd1e3d5p-11", "0x1.18b65cb744a64p-18"),
     "sym-d1": ("0x1.7754f50ef028dp-8", "0x1.d99eda8ac3e0dp-16"),
     "sym-d2": ("0x1.76970b8c025dcp-9", "0x1.02f0070d0cebap-16"),
     "sym-d3": ("0x1.c1b08306f7dedp-10", "0x1.195aa333e0f57p-17"),
+    "sym-d3-n300": ("0x1.1db10ff614c7fp-14", "0x1.5fd0ad737e871p-22"),
 }
 
 
@@ -244,8 +251,8 @@ def test_greedy_extend_pattern_scale():
 
 @pytest.mark.parametrize("case", sorted(MC_SQUARED))
 def test_mc_squared_discrepancy(case):
-    measure, _, dim = case.partition("-d")
-    pts = iid_uniform(8, int(dim), seed=SEED)
+    measure, dim, n = (case + "-n8").split("-")[:3]
+    pts = iid_uniform(int(n[1:]), int(dim[1:]), seed=SEED)
     est = mc_squared_discrepancy(measure, pts, 70_000, seed=41)
     assert (float(est.mean).hex(), float(est.stderr).hex()) == MC_SQUARED[case]
 

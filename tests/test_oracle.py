@@ -24,6 +24,7 @@ from l2disc import (
     squared_discrepancy,
     squared_value,
 )
+from l2disc.oracle import _region_counts
 from l2disc.pathology import expected_iid_squared
 
 
@@ -160,6 +161,50 @@ class TestBoxMembership:
                 b = b if measure in ("ext", "per", "asd") else None
                 got = box_membership(measure, x, a, b)
                 assert got == _reference_membership(measure, x, a, b), (x, a, b)
+
+
+class TestRegionCounts:
+    @pytest.mark.parametrize("measure", ["star", "ext", "per", "ctr", "cad", "sym", "asd"])
+    def test_counts_are_sums_of_reference_memberships(self, measure):
+        # quarter-grid points and anchors, so x = a, a = 1/2 and a = b occur;
+        # n = 255, 256 and 300 end, cross and run past one 255-point count
+        # block, and every volume on the grid is exact
+        rng = np.random.Generator(np.random.Philox(73))
+        two_anchor = measure in ("ext", "per", "asd")
+        cases = [(d, n) for d in (1, 2, 3, 5) for n in (1, 7, 64)]
+        for d, n in cases + [(3, 255), (3, 256), (3, 300)]:
+            x, a, b = (rng.choice(QUARTERS, size=(size, d)) for size in (n, 32, 32))
+            counts, volume = _region_counts(
+                MeasureId(measure), x, a, b if two_anchor else None)
+            for i, (ai, bi) in enumerate(zip(a, b)):
+                ref = [_reference_membership(measure, xi, ai, bi if two_anchor else None)
+                       for xi in x]
+                assert counts[i] == sum(inside for inside, _ in ref), (d, n, ai, bi)
+                assert volume[i] == ref[0][1], (d, n, ai, bi)
+
+    @pytest.mark.parametrize("measure", ["star", "ext", "per", "ctr", "cad", "sym", "asd"])
+    def test_full_blocks_count_exactly(self, measure):
+        # n copies of x = 1/2 fill every count block of a region that holds
+        # x, so a block of 256 or more points would wrap its uint8 sum
+        a, b = (g.reshape(-1, 1) for g in np.meshgrid(QUARTERS, QUARTERS))
+        for n in (255, 256, 300, 600):
+            counts, _ = _region_counts(MeasureId(measure), np.full((n, 1), 0.5),
+                                       a, b if measure in ("ext", "per", "asd") else None)
+            ref = [_reference_membership(measure, [0.5], ai, bi)[0] for ai, bi in zip(a, b)]
+            assert any(ref)
+            assert counts.tolist() == [n * inside for inside in ref], n
+
+    def test_peak_memory_is_block_sized(self):
+        # one chunk of 65 536 anchors against 2048 points would be a 128 MiB
+        # membership matrix; 255-point blocks keep three 16 MiB bool buffers
+        pts = iid_uniform(2048, 2, seed=1)
+        tracemalloc.start()
+        try:
+            mc_squared_discrepancy("per", pts, 70_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestSymVolumeIdentity:
