@@ -12,18 +12,18 @@ an inclusive uniform grid and the winner is refined by compass pattern
 search with a shrinking step, budgeted in evaluations so runs are
 deterministic.
 
-The grid is never built as a (k^d, d) array.  A grid point's factors take
-only the k values per axis, so scoring reads them from per-axis tables
-(B_j(g), C_j(g, g) and C_j(x_ij, g)) and multiplies them in coordinate
-order, in blocks of whole grid lines.  The base sum sum_i prod_j C_j(x_ij, g)
-is kept for every grid point across steps: built once, then continued by one
-block sum over the appended points with the running sums as its first row,
-which adds the rows in the order numpy's row sum would use, and the last
-slot of a call scores into them in place.  Pattern search tables C_j(x_ij, v),
-B_j(v) and C_j(v, v') once per sweep for each v = y_mj or y_mj +- step (a
-sweep moves only coordinates it has passed); a trial is the current tables
-with one axis's entries replaced, and only the trials the one-at-a-time scan
-would make count.  None of this moves a bit.
+The grid is never built as a (k^d, d) array.  Scoring reads a grid point's
+factors from per-axis tables (B_j(g), C_j(g, g) and C_j(x_ij, g)) and
+multiplies them in coordinate order: the axes before the last once per grid
+line, into a line-prefix table built in chunks, then each block of lines is
+one broadcast product with the last axis and one row sum.  The base sum
+sum_i prod_j C_j(x_ij, g) is kept for every grid point across steps, built
+once and continued over the appended points with the running sums as each
+block's first row; the last slot of a call scores into them in place.
+Pattern search tables C_j(x_ij, v), B_j(v) and C_j(v, v') once per sweep for
+each v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed);
+a trial is the current tables with one axis's entries replaced, and only the
+trials the one-at-a-time scan would make count.  None of this moves a bit.
 
 Optimization is projected gradient descent with momentum: restart 0 starts
 from the caller's set, further restarts from IID uniform sets drawn from a
@@ -68,6 +68,9 @@ _TIE_ATOL = 1e-12
 
 #: Hard cap on grid_k ** d candidate points per greedy slot.
 _MAX_GRID_CANDIDATES = 1 << 22
+
+#: Floats per chunk of grid-line prefixes: with its temporary, one sum block.
+_PREFIX_FLOATS = _SUM_BLOCK // 2
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,13 @@ def _trace(values: Sequence[float], final: PointSet, final_value: float,
 
 
 def _sweep_tables(spec: KernelSpec, base: np.ndarray, current: np.ndarray,
-                  step: float) -> tuple:
-    """A sweep's (3b, d) values (row u: point u % b as it is, u < b, then +step,
-    then -step, clamped), C_j(w_j, v_j) (d, n + 3b, 3b) for the rows w of [base;
-    values], w first as in ``c_cross``, and B_j(v_j) (d, 3b), each in one call."""
-    moves = current + np.array([0.0, step, -step])[:, None, None]
-    vals = np.minimum(np.maximum(moves, 0.0), 1.0).reshape(-1, spec.d)
-    tab = _cross_tables(spec, np.concatenate([base, vals]), vals.T)
-    return vals, tab, spec.b_col(vals.T, np.arange(spec.d)[:, None])
+                  offsets: np.ndarray, axes: np.ndarray) -> tuple:
+    """A sweep's (3b, d) values (row u: point u % b moved by offsets[u // b] of
+    [0, +step, -step], clamped), C_j(w_j, v_j) (d, n + 3b, 3b) for the rows w of
+    [base; values] as in ``_cross_tables``, and B_j(v_j) (d, 3b), on ``axes``."""
+    vals = np.minimum(np.maximum(current + offsets, 0.0), 1.0).reshape(-1, spec.d)
+    tab = spec.c_col(np.concatenate([base, vals]).T[:, :, None], vals.T[:, None, :], axes)
+    return vals, tab, spec.b_col(vals.T, axes[..., 0])
 
 
 def _objective(cross: np.ndarray, b_tab: np.ndarray, pair: np.ndarray,
@@ -225,30 +227,39 @@ def _grid_blocks(d: int, k: int, rows: int):
     points: whole lines (a_0..a_{d-2} fixed, a_{d-1} running) or, where one
     line is wider, spans of a line.  No block is 1 wide, because numpy sums a
     (rows, 1) column pairwise, not in row order; a width-1 tail joins the
-    span before it.  Yields the flat slice, the line indices of the axes
-    before the last, and the column slice of the last axis."""
-    width = max(2, _SUM_BLOCK // rows)
-    lines = k ** (d - 1)
+    span before it.  Yields slices of line indices and of the last axis."""
+    width, lines = max(2, _SUM_BLOCK // rows), k ** (d - 1)
     per = max(1, width // k)
-    spans = [(c0, k if c0 + width >= k - 1 else c0 + width)
+    spans = [slice(c0, k if c0 + width >= k - 1 else c0 + width)
              for c0 in range(0, max(k - 1, 1), width)]
     for l0 in range(0, lines, per):
-        l1 = min(l0 + per, lines)
-        idx = np.unravel_index(np.arange(l0, l1), (k,) * (d - 1)) if d > 1 else ()
-        for c0, c1 in spans:
-            yield slice(l0 * k + c0, (l1 - 1) * k + c1), idx, slice(c0, c1)
+        for cols in spans:
+            yield slice(l0, min(l0 + per, lines)), cols
 
 
-def _grid_product(tabs: np.ndarray, idx: tuple, cols: slice) -> np.ndarray:
-    """prod_j tabs[j][..., a_j] over one block of ``_grid_blocks``, shape
-    (..., width), C-contiguous.  ``tabs`` stacks the per-axis (..., k) tables
-    axis first; the factors multiply in coordinate order j = 0..d-1 from 1.0,
-    as in ``kernels.c_cross``, so the products carry its bits."""
-    prefix = 1.0
-    for tab, a in zip(tabs, idx):
-        prefix = prefix * tab[..., a]
-    out = np.expand_dims(prefix, -1) * tabs[-1][..., None, cols]
-    return out.reshape(out.shape[:-2] + (-1,))
+def _grid_products(tabs: np.ndarray, lead: int = 0):
+    """prod_j tabs[j][:, a_j] for per-axis (rows, k) tables stacked axis first,
+    per block of ``_grid_blocks``: yields its flat slice and a (lead + rows,
+    width) view of one buffer (width <= _grid_blocks' width + 1), the products
+    in the rows after ``lead``.  The axes before the last multiply once per grid
+    line, in chunks of whole lines of at most _PREFIX_FLOATS floats, so a block
+    is one broadcast product; factors go in coordinate order from 1.0, as c_cross."""
+    d, rows, k = tabs.shape
+    chunk, end = max(1, _PREFIX_FLOATS // rows), 0
+    buf = np.empty((lead + rows) * (max(2, _SUM_BLOCK // rows) + 1))
+    for lines, cols in _grid_blocks(d, k, rows):
+        if lines.stop > end:  # the next chunk of line prefixes
+            start, end = lines.start, min(max(lines.stop, lines.start + chunk), k ** (d - 1))
+            idx = np.unravel_index(np.arange(start, end), (k,) * (d - 1)) if d > 1 else ()
+            prefix = np.ones((rows, end - start))
+            for tab, a in zip(tabs, idx):
+                prefix *= tab[:, a]
+        shape = (lead + rows, lines.stop - lines.start, cols.stop - cols.start)
+        block = buf[:math.prod(shape)].reshape(shape)
+        np.multiply(prefix[:, lines.start - start:lines.stop - start, None],
+                    tabs[-1][:, None, cols], out=block[lead:])
+        yield (slice(lines.start * k + cols.start, (lines.stop - 1) * k + cols.stop),
+               block.reshape(shape[0], -1))
 
 
 def _cross_tables(spec: KernelSpec, pts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -262,15 +273,14 @@ def _cross_tables(spec: KernelSpec, pts: np.ndarray, values: np.ndarray) -> np.n
 def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray,
                 sums: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_i prod_j C_j(p_ij, g_j) for every grid point g, or, given ``sums``,
-    those sums continued in place over the rows of pts: each block sum then
-    has the old sums as its row 0.  numpy adds the rows of an (m, width >= 2)
-    block in row order, so block widths and continuations move no bits."""
-    tabs = _cross_tables(spec, pts, axis)
-    out = np.empty(axis.size ** spec.d) if sums is None else sums
-    for flat, idx, cols in _grid_blocks(spec.d, axis.size, pts.shape[0]):
-        block = _grid_product(tabs, idx, cols)
-        if sums is not None:
-            block = np.concatenate([sums[None, flat], block])
+    those sums continued in place over the rows of pts, as row 0 of each
+    ``_grid_products`` block.  numpy adds the rows of an (m, width >= 2) block
+    in row order, so block widths, prefix chunks and continuations move no bits."""
+    tabs = _cross_tables(spec, pts, axis)  # its temporaries peak before out exists
+    out, lead = (np.empty(axis.size ** spec.d), 0) if sums is None else (sums, 1)
+    for flat, block in _grid_products(tabs, lead):
+        if lead:
+            block[0] = sums[flat]
         block.sum(axis=0, out=out[flat])
     return out
 
@@ -278,22 +288,20 @@ def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray,
 def _slot_scores(spec: KernelSpec, axis: np.ndarray, sums: np.ndarray,
                  chosen: np.ndarray, total: int, out=None) -> np.ndarray:
     """Objective increment of every grid point as the next batch point, given
-    the base's ``_cross_sums``; each block adds -2·total·B, 2·sums,
-    2·Σchosen and C(g, g) in that order, into ``out`` (may be ``sums``)."""
-    d = spec.d
+    the base's ``_cross_sums``; each block of rows B, C(g, g), C(chosen, g) adds
+    -2·total·B, 2·sums, 2·Σchosen and C(g, g) in order into ``out`` (may be sums)."""
     # the full (d, k) shape, as the unweighted factors ignore j
-    grid, axes = np.broadcast_to(axis, (d, axis.size)), np.arange(d)[:, None]
-    b_tabs, diag_tabs = spec.b_col(grid, axes), spec.c_col(grid, grid, axes)
-    chosen_tabs = _cross_tables(spec, chosen, axis)
+    grid, axes = np.broadcast_to(axis, (spec.d, axis.size)), np.arange(spec.d)[:, None]
+    tabs = np.concatenate([spec.b_col(grid, axes)[:, None], spec.c_col(grid, grid, axes)[:, None],
+                           _cross_tables(spec, chosen, axis)], axis=1)
     scores = np.empty(sums.size) if out is None else out
-    for flat, idx, cols in _grid_blocks(d, axis.size, max(1, chosen.shape[0])):
-        twice = 2.0 * sums[flat]
-        part = scores[flat]
-        np.multiply(-2.0 * total, _grid_product(b_tabs, idx, cols), out=part)
+    for flat, block in _grid_products(tabs):
+        twice, part = 2.0 * sums[flat], scores[flat]
+        np.multiply(-2.0 * total, block[0], out=part)
         part += twice
         if chosen.shape[0]:
-            part += 2.0 * _grid_product(chosen_tabs, idx, cols).sum(axis=0)
-        part += _grid_product(diag_tabs, idx, cols)
+            part += 2.0 * block[2:].sum(axis=0)
+        part += block[1]
     return scores
 
 
@@ -326,14 +334,15 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
     budget = cfg.max_refine_evaluations
     current = start.copy()
     (b, d), n = current.shape, base.shape[0]
-    _, tab, b_tab = _sweep_tables(spec, base, current, step)  # u < b: the start
+    axes, rows = np.arange(d)[:, None, None], np.arange(2 * b * d)
+    offsets = np.array([0.0, step, -step])[:, None, None]  # shrinks with step
+    _, tab, b_tab = _sweep_tables(spec, base, current, offsets, axes)  # u < b: the start
     value = float(_objective(tab[:, None, :n, :b], b_tab[:, None, :b],
                              tab[:, None, n:n + b, :b], total)[0])
     evals = 1
-    axes, rows = np.arange(d)[:, None, None], np.arange(2 * b * d)
     while step >= cfg.refine_min_step and evals < budget:
         improved = False
-        vals, tab, b_tab = _sweep_tables(spec, base, current, step)
+        vals, tab, b_tab = _sweep_tables(spec, base, current, offsets, axes)
         cross, pair, now = tab[:, :n], tab[:, n:], tab[:, None, :n, :b].copy()
         idx = np.repeat(rows[None, None, :b], d, axis=0)  # [j, 0, m]: row of y_mj
         # trials (point, axis, row of vals) in scan order, + before -
@@ -361,6 +370,7 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
             pos = after[pos + k]
         if not improved:
             step *= cfg.refine_shrink
+            offsets *= cfg.refine_shrink
     return current, value, evals
 
 

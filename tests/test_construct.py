@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from l2disc import (
@@ -408,7 +408,9 @@ class TestSlotScores:
     )
     @example(tag="sym_weighted", d=4, n=80, k=9, n_chosen=2, block=2, seed=0)
     @example(tag="cad", d=1, n=1, k=2, n_chosen=0, block=2, seed=1)
-    def test_grid_scores_match_generic_expression(self, tag, d, n, k, n_chosen,
+    # chunk 1 builds the line prefixes one grid line at a time
+    @pytest.mark.parametrize("chunk", [1, construct._PREFIX_FLOATS])
+    def test_grid_scores_match_generic_expression(self, chunk, tag, d, n, k, n_chosen,
                                                   block, seed):
         spec = _spec(tag, d)
         base = iid_uniform(n, d, seed=seed).coords
@@ -418,8 +420,9 @@ class TestSlotScores:
         reference = _generic_scores(spec, base, chosen, _candidate_grid(d, k), total)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", block)
+            mp.setattr(construct, "_PREFIX_FLOATS", chunk)
             scores = _grid_scores(spec, base, chosen, k, total)
-        assert np.array_equal(scores, reference)
+        assert scores.tobytes() == reference.tobytes()
 
     def test_peak_memory_is_chunk_sized(self):
         # the unchunked (64, 65^3) cross matrix and its temporaries peak at
@@ -447,6 +450,19 @@ class TestSlotScores:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
+
+    def test_cross_sums_peak_memory_is_bounded(self):
+        # 2048 rows keep 4 grid lines per prefix chunk; the whole (2048, 33^2)
+        # prefix table and the temporary that builds it peak at about 36 MiB
+        spec = kernel_spec("sym", 3)
+        coords = iid_uniform(2048, 3, seed=5).coords
+        tracemalloc.start()
+        try:
+            _cross_sums(spec, _grid_axis(3, 33), coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_last_slot_scores_into_the_base_sums(self):
         # a one-step, one-slot call reads the base sums for the last time
@@ -519,27 +535,52 @@ class TestBatchedSweeps:
     # a block of 48 floats splits a 65-point grid line into spans of 16 for
     # the 3 appended rows and of 4 for all 12, both ending in a merged
     # width-1 tail, and a 9-point line into spans of 4 for all 12 rows
+    @pytest.mark.parametrize("chunk", [1, construct._PREFIX_FLOATS])
     @pytest.mark.parametrize("block", [48, construct._SUM_BLOCK])
     @pytest.mark.parametrize("k", [2, 9, 65])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("tag", ALL_TAGS)
-    def test_continued_sums_are_bit_exact(self, tag, d, k, block):
+    def test_continued_sums_are_bit_exact(self, tag, d, k, block, chunk):
         spec = _spec(tag, d)
         old = iid_uniform(9, d, seed=k + d).coords
         new = iid_uniform(3, d, seed=k + d + 1).coords
         axis = _grid_axis(d, k)
+        cands = _candidate_grid(d, k)
+        generic = np.sum(c_cross(spec, np.vstack([old, new]), cands), axis=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", block)
+            mp.setattr(construct, "_PREFIX_FLOATS", chunk)
             got = _cross_sums(spec, axis, new, _cross_sums(spec, axis, old))
             want = _cross_sums(spec, axis, np.vstack([old, new]))
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() == generic.tobytes()
 
     @pytest.mark.parametrize("rows,tail", [(3, (48, 65)), (12, (60, 65))])
     def test_block_of_48_ends_lines_in_a_merged_tail(self, rows, tail):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", 48)
-            cols = {(c.start, c.stop) for _, _, c in _grid_blocks(2, 65, rows)}
+            cols = {(c.start, c.stop) for _, c in _grid_blocks(2, 65, rows)}
         assert tail in cols and (64, 65) not in cols
+
+    # each block starts where the one before it stopped, a block of several
+    # lines holds whole lines, and the last stops at k^d: so every scan index
+    # appears once, in order
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), k=st.integers(2, 65), rows=st.integers(1, 300),
+           block=st.integers(2, 2**14))
+    @example(d=3, k=65, rows=16, block=2**14)
+    @example(d=4, k=65, rows=1, block=2**14)
+    @example(d=2, k=65, rows=300, block=2)
+    def test_grid_blocks_cover_the_grid_once_in_order(self, d, k, rows, block):
+        assume(k ** d // max(2, block // rows) <= 2**16)  # about 2^16 blocks at most
+        stop = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", block)
+            for lines, cols in _grid_blocks(d, k, rows):
+                assert 0 <= cols.start and cols.start + 2 <= cols.stop <= k
+                assert lines.stop - lines.start == 1 or (cols.start, cols.stop) == (0, k)
+                assert lines.start * k + cols.start == stop
+                stop = (lines.stop - 1) * k + cols.stop
+        assert stop == k ** d
 
     # bases of up to 80 rows make a trial's n·b cross terms longer than
     # numpy's 8-term unrolled sum, and past its 128-term pairwise block
