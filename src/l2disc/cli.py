@@ -44,6 +44,7 @@ from .core import (
     NumericGuardError,
     PointSet,
     ValidationError,
+    check_positive,
     check_seed,
 )
 from .construct import (
@@ -336,6 +337,8 @@ def _write_construction(args, gamma, trace, started: float, **fields) -> float:
 def _cmd_optimize(args, started: float) -> int:
     if not args.in_path and (args.n is None or args.d is None):
         raise ValidationError("provide --in, or both --n and --d")
+    if args.target is not None:
+        check_positive("--target", args.target)
     init = read_points(args.in_path) if args.in_path else sobol(args.n, args.d)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, init.d, gamma)

@@ -8,16 +8,15 @@ K >= I; the sum of segment K = I is taken once and each K > I is doubled,
 which is exact.  C is symmetric, so the doubled upper blocks stand for the
 lower ones, and only the kernel entries on and right of the diagonal
 segments are computed.  The value is A - 2 sum B / n + fsum(partials) / n^2
-with math.fsum, the exactly rounded sum.  So values do not depend on how
-many rows a tile holds, `squared_value` equals the value returned by
-`value_and_gradient` bit for bit, and for n <= 128 the one segment is the
-whole row.  The value and gradient come from one pass over tiles of one row
-group by a few segments, which computes each pair of segments once.  A
-gradient row follows the same segments: the partial of segment K is the
-numpy sum of its 128 terms for K >= I and, for K < I, their pairwise sum
-down the mirrored tile of row group K; the partials are added in segment
-order.  Tile sizes move no bits, and for n <= 128 each gradient row is one
-numpy sum.
+with math.fsum, the exactly rounded sum.  Both the value and the value
+with its gradient walk the same tiles, one per pair of segments I <= K
+(`_segment_pairs`), so a tile's row sums are the partials of its rows,
+`squared_value` equals the value returned by `value_and_gradient` bit for
+bit, and for n <= 128 the one segment is the whole row.  A gradient row
+follows the same segments: the partial of segment K is the numpy sum of
+its 128 terms for K >= I and, for K < I, their pairwise sum down the
+mirrored tile of row group K; the partials are added in segment order, so
+for n <= 128 each gradient row is one numpy sum.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .core import (
     ValidationError,
     check_unit_cube,
 )
-from .kernels import KernelSpec, b_rows, c_cross, c_diag, factor_tiles, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, factor_tiles, kernel_spec
 
 __all__ = [
     "squared_value",
@@ -46,11 +45,7 @@ __all__ = [
 ]
 
 _ASD_REFLECTION_MAX_D = 20
-# floats in the d factor arrays of one value_and_gradient tile: a tile is a
-# row group by S = max(1, this // (128^2 d)) segments, and its 4d arrays are
-# allocated once per call, 2 MiB for d <= 4 and 4 MiB at d = 8
-_TILE_FLOATS = 1 << 16
-# floats per value tile and greedy chunk
+# floats per tile of stacked small sets, and per greedy chunk
 _SUM_BLOCK = 1 << 14
 # points per column segment of the value: numpy's pairwise sum adds up to
 # 128 contiguous floats in one unrolled leaf
@@ -75,54 +70,45 @@ def _checked_coords(spec: KernelSpec, coords) -> np.ndarray:
 def squared_value(spec: KernelSpec, coords: np.ndarray) -> float:
     """Raw squared discrepancy of an (n, d) coordinate matrix.
 
-    It builds the kernel matrix in tiles of a few rows of one row group,
-    from the group's diagonal segment rightward, so only those entries are
-    computed and only one tile is alive at once.  `squared_discrepancy`
-    adds types and the negative-value guard; the optimizers run on
+    It builds the kernel matrix one pair of 128-point segments at a time,
+    on and right of the diagonal, so only those entries are computed and
+    only one (128, 128) tile is alive at once.  `squared_discrepancy` adds
+    types and the negative-value guard; the optimizers run on
     `value_and_gradient`.
     """
     return _values(spec, _checked_coords(spec, coords)[None])[0]
 
 
+def _segment_pairs(n: int):
+    """Yield (i0, i1, k0, k1), the point ranges of each pair of 128-point
+    segments I <= K once, row group by row group, the diagonal pair first."""
+    for i0 in range(0, n, _SEGMENT):
+        i1 = min(i0 + _SEGMENT, n)
+        for k0 in range(i0, n, _SEGMENT):
+            yield i0, i1, k0, min(k0 + _SEGMENT, n)
+
+
 def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
     """Each set's `squared_value`, bit for bit, for an (r, n, d) stack."""
     r, n, _ = sets.shape
-    groups = -(-n // _SEGMENT)
-    partials = np.zeros((r, n * groups))
-    # row i of row group g keeps its partials at [i, g:] and 0.0 left of g
-    cells = partials.reshape(r, n, groups)
-    for g, c0 in enumerate(range(0, n, _SEGMENT)):
-        rows, width = min(_SEGMENT, n - c0), n - c0
-        # kernel tiles of several sets' whole row groups, or of rows of one set
-        group = min(r, max(1, _SUM_BLOCK // (rows * width)))
-        step = max(1, _SUM_BLOCK // width)
+    partials = np.zeros((r, n * -(-n // _SEGMENT)))
+    # row i keeps its segment-K partial at [i, K] and 0.0 left of its group
+    cells = partials.reshape(r, n, -1)
+    for i0, i1, k0, k1 in _segment_pairs(n):
+        # one tile holds as many small sets as fit in _SUM_BLOCK floats
+        group = min(r, max(1, _SUM_BLOCK // ((i1 - i0) * (k1 - k0))))
         for s0 in range(0, r, group):
             # a lone set is indexed, not sliced: 2-D broadcasts cost numpy less
             at = s0 if group == 1 else slice(s0, s0 + group)
             part = sets[at]
-            for i0 in range(c0, c0 + rows, step):
-                i1 = min(i0 + step, c0 + rows)
-                _segment_sums(c_cross(spec, part[..., i0:i1, :], part[..., c0:, :]),
-                              cells[at, i0:i1, g:])
-                # each later segment stands for its mirror image too
-                if width > _SEGMENT:
-                    cells[at, i0:i1, g + 1:] *= 2.0
+            out = cells[at, i0:i1, k0 // _SEGMENT]
+            c_cross(spec, part[..., i0:i1, :], part[..., k0:k1, :]).sum(axis=-1, out=out)
+            # each later segment stands for its mirror image too
+            if k0 > i0:
+                out *= 2.0
     # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
     b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
     return [_combine(spec, n, b, p) for b, p in zip(b_sums.tolist(), partials)]
-
-
-def _segment_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the numpy sum of each _SEGMENT-column segment of a tile whose
-    columns start at a segment's edge into out, and return out."""
-    width = block.shape[-1]
-    whole = width // _SEGMENT
-    if whole:
-        segments = block[..., :whole * _SEGMENT].reshape(block.shape[:-1] + (whole, _SEGMENT))
-        segments.sum(axis=-1, out=out[..., :whole])
-    if width % _SEGMENT:
-        block[..., whole * _SEGMENT:].sum(axis=-1, out=out[..., whole])
-    return out
 
 
 def _combine(spec: KernelSpec, n: int, b_sum, partials: np.ndarray) -> float:
@@ -209,19 +195,17 @@ def gradient(spec: KernelSpec, points: PointSet) -> np.ndarray:
 def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.ndarray]:
     """Fused squared value and gradient from one leave-one-out pass.
 
-    The C part runs over tiles of one row group I: its diagonal segment,
-    then its segments K > I a few at a time.  Each (I, K > I) pair is
-    computed once: the tile's row sums give rows of I their segment-K
-    partials and the column sums of the mirrored derivative, dC(z, x)/dx
-    times the same leave-one-out product (exc is symmetric), give rows of K
-    their segment-I partials.  Each row adds its per-segment partials in
-    segment order, so neither value nor gradient depends on the tile size,
-    and for n <= 128 the one tile sums whole rows.  The value takes the
-    segment rule's partials off the C products of the same tiles, so it is
-    `squared_value`'s bit for bit.  The factors, their derivatives, their
-    mirrors and the leave-one-out products are four (d, 128, 128 S) arrays
-    (three with no mirror), S = max(1, 2^16 // (128^2 d)) segments,
-    allocated once per call: at most 2 MiB for d <= 4, 4 MiB at d = 8.
+    The C part walks the tiles of `squared_value`, one per pair of segments
+    I <= K.  Each pair is computed once: the tile's row sums give rows of I
+    their segment-K partials and, for K > I, the column sums of the mirrored
+    derivative, dC(z, x)/dx times the same leave-one-out product (exc is
+    symmetric), give rows of K their segment-I partials.  Each row adds its
+    per-segment partials in segment order, and for n <= 128 the one tile
+    sums whole rows.  The value takes the segment rule's partials off the C
+    products of the same tiles, so it is `squared_value`'s bit for bit.  The
+    factors, their derivatives, their mirrors and the leave-one-out products
+    are four (d, 128, 128) arrays (three with no mirror) allocated once per
+    call, at most 0.5 d MiB.
     """
     if not spec.continuous:
         raise NonDifferentiableMeasureError(
@@ -231,61 +215,53 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     n, d = coords.shape
     fill, mirrored = factor_tiles(spec)
     grad = np.empty((n, d))
-    groups = -(-n // _SEGMENT)
-    partials = np.zeros(n * groups)
-    cells = partials.reshape(n, groups)
+    partials = np.zeros(n * -(-n // _SEGMENT))
+    cells = partials.reshape(n, -1)
 
     # the factors are laid out [j, i, k] = C_j(x_ij, x_kj), as in c_cross,
     # and the product left out at j = d - 1 is the prefix chain
     # f_0 ... f_{d-2}, so exc * cs[-1] and exc * bs[-1] have the bits of
     # c_cross and b_rows; right is a contiguous copy of the columns, which
     # numpy's broadcast (m, 1) x (1, k) loops run faster on than on strided
-    # views.  Every row's segment-0 partial comes from row group 0, so g == 0
-    # writes the partials and later groups add theirs in segment order.
+    # views.  Every row's segment-0 partial comes from row group 0, so
+    # i0 == 0 writes the partials and later groups add theirs in segment
+    # order.
     right = np.ascontiguousarray(coords.T)[:, None, :]
-    width = _SEGMENT * max(1, _TILE_FLOATS // (_SEGMENT * _SEGMENT * d))
     # (d, m, k) tile arrays, one allocation each: the factors, their
     # derivatives, the leave-one-out products (x - z first) and the mirrors
     m = min(n, _SEGMENT)
-    bufs = [np.empty((d, m * min(n, width))) for _ in range(4 if mirrored and n > m else 3)]
-    row_parts = np.empty((m, width // _SEGMENT))
-    for g, c0 in enumerate(range(0, n, _SEGMENT)):
-        c1 = min(c0 + _SEGMENT, n)
-        left = coords[c0:c1].T[:, :, None]
-        for k0 in [c0, *range(c1, n, width)]:
-            k1 = c1 if k0 == c0 else min(k0 + width, n)
-            upper = k0 > c0
-            cs, dcs, work, *ms = [b[:, :(c1 - c0) * (k1 - k0)].reshape(d, c1 - c0, k1 - k0)
-                                  for b in bufs]
-            ms = ms[0] if upper and ms else None
-            fill(left, right[:, :, k0:k1], cs, dcs, ms, work)
-            segments = slice(k0 // _SEGMENT, -(-k1 // _SEGMENT))
-            for j, exc in enumerate(_leave_one_out(list(cs), list(work))):
-                dct = dcs[j]
-                dct *= exc
-                if g == 0 and not upper:
-                    dct.sum(axis=1, out=grad[c0:c1, j])
-                else:
-                    parts = row_parts[:c1 - c0, :segments.stop - segments.start]
-                    for part in _segment_sums(dct, parts).T:
-                        grad[c0:c1, j] += part
-                if not upper:
-                    continue
-                # the rows of the tile's columns get their segment-g partials
-                if mirrored:
-                    ms[j] *= exc
-                    part = _column_sums(ms[j])
-                else:
-                    part = np.negative(_column_sums(dct))
-                if g == 0:
-                    grad[k0:k1, j] = part
-                else:
-                    grad[k0:k1, j] += part
-            # in place: no second tile-sized array; exc is not read again
-            exc *= cs[-1]
-            _segment_sums(exc, cells[c0:c1, segments])
-            if upper:
-                cells[c0:c1, segments] *= 2.0
+    bufs = [np.empty((d, m * m)) for _ in range(4 if mirrored and n > m else 3)]
+    for i0, i1, k0, k1 in _segment_pairs(n):
+        upper = k0 > i0
+        cs, dcs, work, *ms = [b[:, :(i1 - i0) * (k1 - k0)].reshape(d, i1 - i0, k1 - k0)
+                              for b in bufs]
+        ms = ms[0] if upper and ms else None
+        fill(coords[i0:i1].T[:, :, None], right[:, :, k0:k1], cs, dcs, ms, work)
+        for j, exc in enumerate(_leave_one_out(list(cs), list(work))):
+            dct = dcs[j]
+            dct *= exc
+            if i0 == 0 and not upper:
+                dct.sum(axis=1, out=grad[i0:i1, j])
+            else:
+                grad[i0:i1, j] += dct.sum(axis=1)
+            if not upper:
+                continue
+            # the rows of the tile's columns get their segment-I partials
+            if mirrored:
+                ms[j] *= exc
+                part = _column_sums(ms[j])
+            else:
+                part = np.negative(_column_sums(dct))
+            if i0 == 0:
+                grad[k0:k1, j] = part
+            else:
+                grad[k0:k1, j] += part
+        # in place: no second tile-sized array; exc is not read again
+        exc *= cs[-1]
+        out = cells[i0:i1, k0 // _SEGMENT]
+        exc.sum(axis=1, out=out)
+        if upper:
+            out *= 2.0
     grad *= 2.0 / (n * n)
 
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
@@ -296,7 +272,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
 
 def _column_sums(tile: np.ndarray) -> np.ndarray:
     """The column sums of a full row group's (128, k) tile, summed pairwise
-    down the rows in place, so that no sum depends on k."""
+    down the rows in place."""
     h = _SEGMENT // 2
     while h:
         tile[:h] += tile[h:2 * h]
@@ -322,5 +298,5 @@ def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:
     ypt = _checked_coords(spec, np.reshape(y, (1, -1)))
     bprod = float(b_rows(spec, ypt)[0])
     cross = float(c_cross(spec, coords, ypt).sum())
-    selfprod = float(c_diag(spec, ypt)[0])
+    selfprod = float(c_cross(spec, ypt, ypt)[0, 0])
     return -2.0 * bprod + (2.0 * cross + selfprod) / (coords.shape[0] + 1)

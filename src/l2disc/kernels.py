@@ -14,8 +14,8 @@ Hickernell's product weights applied to a base measure: B -> 1 + gamma_j B,
 C -> 1 + gamma_j C and A -> prod_j (1 + gamma_j A(1)).
 
 The coordinate-product sums of that form are written once, here:
-``b_rows``, ``c_cross`` and ``c_diag`` multiply the factors in coordinate
-order j = 0..d-1 into one accumulator, over any leading batch axes.
+``b_rows`` and ``c_cross`` multiply the factors in coordinate order
+j = 0..d-1 into one accumulator, over any leading batch axes.
 
 A KernelSpec also carries the expectation constants
 
@@ -314,15 +314,6 @@ def c_cross(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray
     out = spec.c_col(left[..., :, None, 0], right[..., None, :, 0], 0)
     for j in range(1, spec.d):
         out *= spec.c_col(left[..., :, None, j], right[..., None, :, j], j)
-    return out
-
-
-def c_diag(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    """prod_j C_j(p_j, p_j) for every row of an (..., n, d) array, shape (..., n)."""
-    out = np.ones(pts.shape[:-1])
-    for j in range(spec.d):
-        col = pts[..., j]
-        out *= spec.c_col(col, col, j)
     return out
 
 

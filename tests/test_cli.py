@@ -349,6 +349,22 @@ class TestExitCodes:
         # outputs are still written before the budget verdict
         assert out.exists() and (tmp_path / "o.csv.run.json").exists()
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-1"])
+    def test_bad_target_is_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                               target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimize ran")
+
+        monkeypatch.setattr(cli, "optimize", refuse)
+        out = tmp_path / "o.csv"
+        assert run(["optimize", "--measure", "star", "--n", 4, "--d", 2,
+                    "--target", target, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --target must be finite and positive, got {float(target)!r}\n")
+        assert captured.out == "" and not out.exists()
+        assert not (tmp_path / "o.csv.run.json").exists()
+
     def test_missing_required_input_is_two(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(["optimize", "--measure", "star", "--out", out]) == 2

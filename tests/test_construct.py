@@ -33,7 +33,7 @@ from l2disc.construct import (
     _pattern_search,
     _slot_scores,
 )
-from l2disc.kernels import b_rows, c_cross, c_diag
+from l2disc.kernels import b_rows, c_cross
 
 ALL_TAGS = ["star", "ext", "per", "ctr", "cad", "sym", "mix", "asd",
             "ctr_weighted", "sym_weighted"]
@@ -331,7 +331,7 @@ def _generic_scores(spec, base, chosen, cands, total):
     scores = scores + 2.0 * np.sum(c_cross(spec, base, cands), axis=0)
     if chosen.shape[0]:
         scores = scores + 2.0 * np.sum(c_cross(spec, chosen, cands), axis=0)
-    return scores + c_diag(spec, cands)
+    return scores + c_cross(spec, cands[:, None], cands[:, None])[:, 0, 0]
 
 
 def _grid_scores(spec, base, chosen, k, total):

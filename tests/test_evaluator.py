@@ -236,7 +236,7 @@ class TestGradient:
                 assert abs(grad[i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_peak_memory_is_per_coordinate_factors(self):
-        # the tiles of one row group by one segment keep 4d arrays of
+        # the tiles, one pair of segments each, keep 4d arrays of
         # 128 x 128 floats here, 4 MiB; a pass over (n, n, d) factor tensors
         # and their scans needs ~5d (n, n) arrays and fails
         n, d = 256, 8
@@ -333,26 +333,40 @@ def _unblocked_value(spec, coords):
 
 
 class TestTiles:
-    # with 64 floats per tile, n * d > 32 gives tiles of one or a few rows
+    # every tile is one pair of 128-point segments: past n = 128 rows are cut
+    # into two or three segments, the last one of any width
     @settings(max_examples=30, deadline=None)
     @given(
         tag=st.sampled_from(CONTINUOUS),
-        n=st.integers(1, 40),
+        n=st.integers(1, 300),
         d=st.sampled_from([1, 2, 3, 5]),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(tag="star", n=7, d=5, seed=0)
     @example(tag="ctr_weighted", n=40, d=1, seed=1)
     @example(tag="mix", n=33, d=2, seed=2)
+    @example(tag="ctr_weighted", n=129, d=3, seed=3)
+    @example(tag="sym", n=300, d=2, seed=4)
     def test_tile_edges_are_invisible(self, tag, n, d, seed):
         gamma = [0.3 + 0.7 * j for j in range(d)] if tag.endswith("_weighted") else None
         spec = _spec(tag, d, gamma=gamma)
         coords = iid_uniform(n, d, seed=seed).coords
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluator, "_TILE_FLOATS", 64)
-            value, grad = value_and_gradient(spec, coords)
-        assert np.array_equal(grad, _untiled_gradient(spec, coords))
+        value, grad = value_and_gradient(spec, coords)
+        reference = (_untiled_gradient if n <= SEGMENT else _segmented_gradient)(spec, coords)
+        assert np.array_equal(grad, reference)
         assert value == squared_value(spec, coords)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 385])
+    def test_segment_pairs_visit_each_pair_once_in_row_group_order(self, n):
+        # the gradient writes each row's first partial and adds the later
+        # ones, so the pairs must come row group by row group, diagonal first
+        groups = -(-n // SEGMENT)
+        pairs = list(evaluator._segment_pairs(n))
+        assert [(i0 // SEGMENT, k0 // SEGMENT) for i0, _, k0, _ in pairs] == [
+            (g, k) for g in range(groups) for k in range(g, groups)]
+        for i0, i1, k0, k1 in pairs:
+            assert i0 % SEGMENT == 0 and i1 == min(i0 + SEGMENT, n)
+            assert k0 % SEGMENT == 0 and k1 == min(k0 + SEGMENT, n)
 
     def test_gradient_matches_fsum_reference(self):
         # each entry is a sum over n = 2048 points; numpy's pairwise row sums
@@ -374,10 +388,10 @@ class TestTiles:
 
 
 class TestBlockedValue:
-    # blocks run from one row to several whole sets, on both sides of a
-    # set's n^2 floats, and 64 floats per tile give tiles of one or a few
-    # rows; no value or gradient may change, the stacked pass values each
-    # set as squared_value does, and both functions return the same value.
+    # blocks run from one set to several whole sets per tile, on both sides
+    # of a set's n^2 floats; no value or gradient may change, the stacked pass
+    # values each set as squared_value does, and both functions return the
+    # same value.
     # The examples at n > 128 cut rows into two or three segments, the last
     # one 1, 127, 128 or 44 columns wide.
     @settings(max_examples=30, deadline=None)
@@ -412,9 +426,7 @@ class TestBlockedValue:
                 assert evaluator._values(spec, stack) == expected
                 assert squared_value(spec, stack[0]) == expected[0]
         if spec.continuous:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluator, "_TILE_FLOATS", 64)
-                value, grad = value_and_gradient(spec, stack[0])
+            value, grad = value_and_gradient(spec, stack[0])
             assert value == expected[0]
             reference = (_untiled_gradient if n <= SEGMENT else _segmented_gradient)(spec, stack[0])
             assert np.array_equal(grad, reference)
@@ -456,8 +468,7 @@ class TestBlockedValue:
 
     @pytest.mark.parametrize("tag,n,d", [("star", 300, 3), ("mix", 1025, 2), ("ctr", 1025, 5)])
     def test_real_block_is_bit_identical(self, tag, n, d):
-        # rows of several segments, summed in blocks and tiles of the real
-        # sizes
+        # rows of several segments, summed in tiles of the real size
         spec = _spec(tag, d)
         coords = iid_uniform(n, d, seed=n + d).coords
         value = squared_value(spec, coords)
@@ -465,7 +476,7 @@ class TestBlockedValue:
         assert value == value_and_gradient(spec, coords)[0]
 
     def test_peak_memory_does_not_grow_with_n_squared(self):
-        # blocks keep a few rows of the kernel matrix alive; the full
+        # one (128, 128) tile of the kernel matrix is alive at once; the full
         # (n, n) matrix and its factor temporaries peak at 128 MiB here
         spec = _spec("ctr", 4)
         coords = iid_uniform(2048, 4, seed=7).coords
