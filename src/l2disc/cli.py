@@ -390,15 +390,6 @@ def _root(trace) -> float:
     return math.sqrt(max(trace.final_value, 0.0))
 
 
-def _sobol_root(measure: str, n: int) -> float:
-    spec = kernel_spec(measure, 2)
-    return squared_discrepancy(spec, sobol(n, 2)).root
-
-
-def _rel_dev(computed: float, published: float) -> float:
-    return (computed - published) / published
-
-
 def _write_ratios(path: str, sets: dict, measures: list) -> np.ndarray:
     """Write the cross-evaluation ratio matrix of ``sets`` as CSV."""
     ratios = cross_evaluate(sets, measures)
@@ -408,8 +399,14 @@ def _write_ratios(path: str, sets: dict, measures: list) -> np.ndarray:
     return ratios
 
 
+def _write_table(out_dir: str, name: str, header: list, rows: list) -> str:
+    """Write ``<out_dir>/<name>.csv`` and return its path."""
+    path = os.path.join(out_dir, f"{name}.csv")
+    _write_csv(path, header, rows)
+    return path
+
+
 def _tables_table1(out_dir: str, preset: str, seed: int) -> list:
-    path = os.path.join(out_dir, "table1.csv")
     header = ["measure", "d",
               "n_times_expected", "published_n_times_expected",
               "single_value", "published_single_value",
@@ -428,41 +425,28 @@ def _tables_table1(out_dir: str, preset: str, seed: int) -> list:
             r.threshold, ref.threshold(r.d),
             r.table1_match, r.expected_match, r.single_match,
             r.threshold_match, r.notes])
-    _write_csv(path, header, rows)
-    return [path]
+    return [_write_table(out_dir, "table1", header, rows)]
 
 
-def _tables_table3(out_dir: str, preset: str, seed: int) -> list:
-    path = os.path.join(out_dir, "table3.csv")
-    header = ["measure", "n", "opt_root", "published_opt",
-              "opt_rel_dev", "sobol_root", "published_sobol",
-              "sobol_rel_dev"]
+def _tables_roots(out_dir: str, preset: str, seed: int, name: str, order: tuple,
+                  published_opt: dict, published_sobol: Optional[dict] = None) -> list:
+    """Table 3 or 4: per measure and n, the optimized root and, for Table 3,
+    the Sobol' root, each beside its published value and relative deviation."""
+    published = {"opt": published_opt, "sobol": published_sobol}
+    columns = [c for c in published if published[c] is not None]
+    header = ["measure", "n"] + [h for c in columns for h in (
+        f"{c}_root", f"published_{c}", f"{c}_rel_dev")]
     rows = []
-    for measure in TABLE3_ORDER:
-        for n in _PRESETS[preset]["table3"]:
-            opt = _root(_optimized(measure, n, preset, seed))
-            sob = _sobol_root(measure, n)
-            rows.append([
-                measure, n,
-                opt, TABLE3_OPT[measure][n],
-                _rel_dev(opt, TABLE3_OPT[measure][n]),
-                sob, TABLE3_SOBOL[measure][n],
-                _rel_dev(sob, TABLE3_SOBOL[measure][n])])
-    _write_csv(path, header, rows)
-    return [path]
-
-
-def _tables_table4(out_dir: str, preset: str, seed: int) -> list:
-    path = os.path.join(out_dir, "table4.csv")
-    header = ["measure", "n", "opt_root", "published_opt", "opt_rel_dev"]
-    rows = []
-    for measure in TABLE4_ORDER:
-        for n in _PRESETS[preset]["table4"]:
-            opt = _root(_optimized(measure, n, preset, seed))
-            rows.append([measure, n, opt, TABLE4_OPT[measure][n],
-                         _rel_dev(opt, TABLE4_OPT[measure][n])])
-    _write_csv(path, header, rows)
-    return [path]
+    for measure in order:
+        for n in _PRESETS[preset][name]:
+            row = [measure, n]
+            for c in columns:
+                root = (_root(_optimized(measure, n, preset, seed)) if c == "opt"
+                        else squared_discrepancy(kernel_spec(measure, 2), sobol(n, 2)).root)
+                pub = published[c][measure][n]
+                row += [root, pub, (root - pub) / pub]
+            rows.append(row)
+    return [_write_table(out_dir, name, header, rows)]
 
 
 def _tables_fig2(out_dir: str, preset: str, seed: int) -> list:
@@ -480,8 +464,9 @@ def _tables_fig2(out_dir: str, preset: str, seed: int) -> list:
 #: the paths it wrote
 _TABLES = {
     "table1": _tables_table1,
-    "table3": _tables_table3,
-    "table4": _tables_table4,
+    "table3": lambda *args: _tables_roots(*args, "table3", TABLE3_ORDER, TABLE3_OPT,
+                                          TABLE3_SOBOL),
+    "table4": lambda *args: _tables_roots(*args, "table4", TABLE4_ORDER, TABLE4_OPT),
     "fig2": _tables_fig2,
 }
 

@@ -22,8 +22,8 @@ once and continued over the appended points with the running sums as each
 block's first row; the last slot of a call scores into them in place.
 Pattern search tables C_j(x_ij, v), B_j(v) and C_j(v, v') once per sweep for
 each v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed);
-a trial is the current tables with one axis's entries replaced, and only the
-trials the one-at-a-time scan would make count.  None of this moves a bit.
+a trial is one index array into the sweep's tables, and only the trials the
+one-at-a-time scan would make count.  None of this moves a bit.
 
 Optimization is projected gradient descent with momentum: restart 0 starts
 from the caller's set, further restarts from IID uniform sets drawn from a
@@ -343,7 +343,8 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
     while step >= cfg.refine_min_step and evals < budget:
         improved = False
         vals, tab, b_tab = _sweep_tables(spec, base, current, offsets, axes)
-        cross, pair, now = tab[:, :n], tab[:, n:], tab[:, None, :n, :b].copy()
+        pair = tab[:, n:]
+        cross = tab[:, :n].swapaxes(1, 2).copy()  # [j, u, i]: trials gather whole rows
         idx = np.repeat(rows[None, None, :b], d, axis=0)  # [j, 0, m]: row of y_mj
         # trials (point, axis, row of vals) in scan order, + before -
         tm, tj, ts = np.nonzero((vals[b:].reshape(2, b, d) != current).transpose(1, 2, 0))
@@ -355,9 +356,7 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
             m, j, u = tm[pos:stop], tj[pos:stop], tu[pos:stop]
             tidx = np.repeat(idx, u.size, axis=1)
             tidx[j, rows[:u.size], m] = u
-            tcross = np.repeat(now, u.size, axis=1)
-            tcross[j, rows[:u.size], :, m] = cross[j, :, u]
-            values = _objective(tcross, b_tab[axes, tidx], pair[
+            values = _objective(cross[axes, tidx].swapaxes(2, 3), b_tab[axes, tidx], pair[
                 axes[..., None], tidx[..., None], tidx[..., None, :]], total)
             better = values < value
             k = int(better.argmax())
@@ -366,7 +365,7 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
                 break
             value, improved = float(values[k]), True
             m, j, u = m[k], j[k], u[k]
-            idx[j, 0, m], now[j, 0, :, m], current[m, j] = u, cross[j, :, u], vals[u, j]
+            idx[j, 0, m], current[m, j] = u, vals[u, j]
             pos = after[pos + k]
         if not improved:
             step *= cfg.refine_shrink

@@ -32,6 +32,7 @@ from .core import (
     SquaredDiscrepancy,
     ValidationError,
     check_unit_cube,
+    reflect,
 )
 from .kernels import KernelSpec, b_rows, c_cross, factor_tiles, kernel_spec
 
@@ -143,14 +144,12 @@ def asd_by_reflection(points: PointSet) -> SquaredDiscrepancy:
             f"{_ASD_REFLECTION_MAX_D} is refused (use the asd kernel instead)"
         )
     star = kernel_spec(MeasureId.STAR, d)
-    coords = points.coords
-    flipped = 1.0 - coords
     total = 0.0
     # subsets in fixed mask order for reproducibility; bit j set = coordinate
     # j+1 kept, cleared = reflected
     for mask in range(1 << d):
-        keep = (mask >> np.arange(d)) & 1 == 1
-        total += squared_value(star, np.where(keep, coords, flipped))
+        keep = [j + 1 for j in range(d) if mask >> j & 1]
+        total += squared_value(star, reflect(points, keep).coords)
     value = total / (1 << d)
     return SquaredDiscrepancy(MeasureId.ASD, value, points.n, points.d)
 

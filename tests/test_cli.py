@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
@@ -13,6 +14,13 @@ import pytest
 import l2disc.cli as cli
 from l2disc import NumericGuardError, PointSet, ValidationError, iid_uniform
 from l2disc.cli import main, read_points, write_points
+from l2disc.reference import (
+    TABLE3_OPT,
+    TABLE3_ORDER,
+    TABLE3_SOBOL,
+    TABLE4_OPT,
+    TABLE4_ORDER,
+)
 
 RECORD_FIELDS = {
     "command", "measure", "n", "d", "gamma", "squared", "root",
@@ -63,9 +71,17 @@ class TestPointSetCsv:
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("")
-        with pytest.raises(ValidationError, match="empty"):
-            read_points(str(path))
+        for text, reason in (("", "empty point-set file"),
+                             ("x1,x2\n", "no points in file")):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=reason):
+                read_points(str(path))
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("x1,x2\n0.5,0.5\n\n0.25,0.75\n")
+        np.testing.assert_array_equal(read_points(str(path)).coords,
+                                      [[0.5, 0.5], [0.25, 0.75]])
 
 
 class TestRunRecords:
@@ -178,6 +194,67 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.fixture(scope="module")
+def smoke_tables(tmp_path_factory):
+    """The numerical-study tables at --preset smoke, written once."""
+    out = tmp_path_factory.mktemp("tables")
+    for which in ("table3", "table4", "fig2"):
+        assert run(["tables", "--which", which, "--preset", "smoke",
+                    "--out", out]) == 0
+    return out
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+class TestPublishedTables:
+    # sha256 of each CSV as written with numpy 2.4.6; a change to the
+    # optimizer, its starts or the smoke preset (ROADMAP items 1 and 2)
+    # moves these on purpose and re-records them
+    PINS = {
+        "table3.csv": "7630c190a1dba4f29997b6aa11c6afd809413f8ca0dc22de93ff0c58d5490be3",
+        "table4.csv": "13f19e0c37d91ccdf162db568b2833db0858610e81dd9e0b8cab3775b810d28d",
+        "fig2_n16.csv": "d6342546cd46f66a9267b5cdd8ffd54e803f9d1b072554e925cb83b559285505",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_bytes_are_pinned(self, smoke_tables, name):
+        digest = hashlib.sha256((smoke_tables / name).read_bytes()).hexdigest()
+        assert digest == self.PINS[name]
+
+    @pytest.mark.parametrize("which,order,ns,columns", [
+        ("table3", TABLE3_ORDER, (16,),
+         {"opt": TABLE3_OPT, "sobol": TABLE3_SOBOL}),
+        ("table4", TABLE4_ORDER, (10, 20), {"opt": TABLE4_OPT}),
+    ])
+    def test_root_table(self, smoke_tables, which, order, ns, columns):
+        header, rows = _csv_rows(smoke_tables / f"{which}.csv")
+        assert header == ["measure", "n"] + [
+            name for c in columns
+            for name in (f"{c}_root", f"published_{c}", f"{c}_rel_dev")]
+        assert [(r[0], int(r[1])) for r in rows] == [
+            (m, n) for m in order for n in ns]
+        for row in rows:
+            measure, n = row[0], int(row[1])
+            for i, published in enumerate(columns.values()):
+                root, pub, dev = map(float, row[2 + 3 * i:5 + 3 * i])
+                assert pub == published[measure][n]
+                assert dev == (root - pub) / pub
+
+    def test_fig2_matrix(self, smoke_tables):
+        header, rows = _csv_rows(smoke_tables / "fig2_n16.csv")
+        measures = ["star", "ext", "per", "ctr", "sym", "asd"]
+        assert header == ["evaluated_measure"] + [
+            f"optimized_for_{m}" for m in measures]
+        assert [r[0] for r in rows] == measures
+        ratios = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert ratios.shape == (6, 6)
+        np.testing.assert_array_equal(np.diag(ratios), 1.0)
+        assert (ratios[~np.eye(6, dtype=bool)] > 0).all()
 
 
 class TestDeterminism:
@@ -326,8 +403,9 @@ class TestExitCodes:
     def test_bad_disc_threads_is_two(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"
         write_points(str(src), iid_uniform(3, 2, 149))
-        monkeypatch.setenv("DISC_THREADS", "many")
-        assert run(["disc", "--measure", "star", "--in", src]) == 2
+        for raw in ("many", "0"):
+            monkeypatch.setenv("DISC_THREADS", raw)
+            assert run(["disc", "--measure", "star", "--in", src]) == 2
 
     def test_numeric_guard_is_three(self, tmp_path, monkeypatch):
         src = tmp_path / "p.csv"

@@ -157,3 +157,7 @@ class TestNearestVertex:
     def test_rejects_outside_cube(self):
         with pytest.raises(ValidationError):
             nearest_vertex([1.2])
+
+    def test_rejects_a_set_of_points(self):
+        with pytest.raises(ValidationError, match="single point"):
+            nearest_vertex([[0.1, 0.9], [0.6, 0.4]])

@@ -218,6 +218,12 @@ class TestPathologyRows:
             assert row.threshold_match == "mismatch"
             assert row.table1_match == "mismatch"
 
+    def test_published_form_past_float_range_is_a_mismatch(self):
+        # cad's published threshold 6^d - 1 overflows a float from d = 397
+        row = pathology_row("cad", 400)
+        assert row.threshold_match == "mismatch"
+        assert row.table1_match == "mismatch"
+
     def test_table_covers_all_rows(self):
         rows = pathology_table([1, 2])
         assert len(rows) == 2 * len(TABLE_MEASURES)
