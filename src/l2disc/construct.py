@@ -16,10 +16,11 @@ The grid is never built as a (k^d, d) array.  Scoring reads a grid point's
 factors from per-axis tables (B_j(g), C_j(g, g) and C_j(x_ij, g)) and
 multiplies them in coordinate order: the axes before the last once per grid
 line, into a line-prefix table built in chunks, then each block of lines is
-one broadcast product with the last axis and one row sum.  The base sum
-sum_i prod_j C_j(x_ij, g) is kept for every grid point across steps, built
-once and continued over the appended points with the running sums as each
-block's first row; the last slot of a call scores into them in place.
+a copy of its prefixes times a copy of the last axis's table, and one row
+sum.  The base sum sum_i prod_j C_j(x_ij, g) is kept for every grid point
+across steps: it is built in row groups, each continuing the last, and
+continued over the appended points the same way, with the running sums as
+each block's first row; the last slot of a call scores into them in place.
 Pattern search tables C_j(x_ij, v), B_j(v) and C_j(v, v') once per sweep for
 each v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed);
 a trial is one index array into the sweep's tables, and only the trials the
@@ -242,11 +243,15 @@ def _grid_products(tabs: np.ndarray, lead: int = 0):
     per block of ``_grid_blocks``: yields its flat slice and a (lead + rows,
     width) view of one buffer (width <= _grid_blocks' width + 1), the products
     in the rows after ``lead``.  The axes before the last multiply once per grid
-    line, in chunks of whole lines of at most _PREFIX_FLOATS floats, so a block
-    is one broadcast product; factors go in coordinate order from 1.0, as c_cross."""
+    line, in chunks of whole lines of at most _PREFIX_FLOATS floats.  The last
+    axis's table is copied once per call to (rows, lines per block, k), so a
+    block is one broadcast copy of its line prefixes and one contiguous product
+    by that copy; factors go in coordinate order from 1.0, as c_cross."""
     d, rows, k = tabs.shape
     chunk, end = max(1, _PREFIX_FLOATS // rows), 0
-    buf = np.empty((lead + rows) * (max(2, _SUM_BLOCK // rows) + 1))
+    width = max(2, _SUM_BLOCK // rows)
+    buf = np.empty((lead + rows) * (width + 1))
+    last = np.repeat(tabs[-1][:, None], max(1, width // k), axis=1)
     for lines, cols in _grid_blocks(d, k, rows):
         if lines.stop > end:  # the next chunk of line prefixes
             start, end = lines.start, min(max(lines.stop, lines.start + chunk), k ** (d - 1))
@@ -256,8 +261,8 @@ def _grid_products(tabs: np.ndarray, lead: int = 0):
                 prefix *= tab[:, a]
         shape = (lead + rows, lines.stop - lines.start, cols.stop - cols.start)
         block = buf[:math.prod(shape)].reshape(shape)
-        np.multiply(prefix[:, lines.start - start:lines.stop - start, None],
-                    tabs[-1][:, None, cols], out=block[lead:])
+        np.copyto(block[lead:], prefix[:, lines.start - start:lines.stop - start, None])
+        np.multiply(block[lead:], last[:, :shape[1], cols], out=block[lead:])
         yield (slice(lines.start * k + cols.start, (lines.stop - 1) * k + cols.stop),
                block.reshape(shape[0], -1))
 
@@ -273,15 +278,20 @@ def _cross_tables(spec: KernelSpec, pts: np.ndarray, values: np.ndarray) -> np.n
 def _cross_sums(spec: KernelSpec, axis: np.ndarray, pts: np.ndarray,
                 sums: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_i prod_j C_j(p_ij, g_j) for every grid point g, or, given ``sums``,
-    those sums continued in place over the rows of pts, as row 0 of each
-    ``_grid_products`` block.  numpy adds the rows of an (m, width >= 2) block
-    in row order, so block widths, prefix chunks and continuations move no bits."""
-    tabs = _cross_tables(spec, pts, axis)  # its temporaries peak before out exists
-    out, lead = (np.empty(axis.size ** spec.d), 0) if sums is None else (sums, 1)
-    for flat, block in _grid_products(tabs, lead):
-        if lead:
-            block[0] = sums[flat]
-        block.sum(axis=0, out=out[flat])
+    those sums continued in place over the rows of pts.  The rows go in groups
+    of _SUM_BLOCK // k (at least one), so for k <= _SUM_BLOCK each
+    ``_grid_products`` block spans at least one whole grid line; a group after
+    the first, or any given ``sums``, continues the sums as row 0 of each
+    block.  numpy adds the rows of an (m, width >= 2) block in row order, so
+    row groups, block widths, prefix chunks and continuations move no bits."""
+    group = max(1, _SUM_BLOCK // axis.size)
+    out = np.empty(axis.size ** spec.d) if sums is None else sums
+    for r0 in range(0, pts.shape[0], group):
+        lead = int(r0 > 0 or sums is not None)
+        for flat, block in _grid_products(_cross_tables(spec, pts[r0:r0 + group], axis), lead):
+            if lead:
+                block[0] = out[flat]
+            block.sum(axis=0, out=out[flat])
     return out
 
 

@@ -89,35 +89,41 @@ def _segment_pairs(n: int):
             yield i0, i1, k0, min(k0 + _SEGMENT, n)
 
 
+def _partial_cells(r: int, n: int) -> np.ndarray:
+    """Zeroed (r, pairs, min(n, 128)) cells for the value partials: the pair
+    of segments I <= K numbered p in `_segment_pairs` order keeps the
+    segment-K partials of the rows of group I in cells [:, p, :rows]."""
+    g = -(-n // _SEGMENT)
+    return np.zeros((r, g * (g + 1) // 2, min(n, _SEGMENT)))
+
+
 def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
     """Each set's `squared_value`, bit for bit, for an (r, n, d) stack."""
     r, n, _ = sets.shape
-    partials = np.zeros((r, n * -(-n // _SEGMENT)))
-    # row i keeps its segment-K partial at [i, K] and 0.0 left of its group
-    cells = partials.reshape(r, n, -1)
-    for i0, i1, k0, k1 in _segment_pairs(n):
+    cells = _partial_cells(r, n)
+    for p, (i0, i1, k0, k1) in enumerate(_segment_pairs(n)):
         # one tile holds as many small sets as fit in _SUM_BLOCK floats
         group = min(r, max(1, _SUM_BLOCK // ((i1 - i0) * (k1 - k0))))
         for s0 in range(0, r, group):
             # a lone set is indexed, not sliced: 2-D broadcasts cost numpy less
             at = s0 if group == 1 else slice(s0, s0 + group)
             part = sets[at]
-            out = cells[at, i0:i1, k0 // _SEGMENT]
+            out = cells[at, p, :i1 - i0]
             c_cross(spec, part[..., i0:i1, :], part[..., k0:k1, :]).sum(axis=-1, out=out)
             # each later segment stands for its mirror image too
             if k0 > i0:
                 out *= 2.0
     # B over one (r n, d) matrix: numpy's per-call cost is lower in 2-D
     b_sums = b_rows(spec, sets.reshape(r * n, -1)).reshape(r, n).sum(axis=1)
-    return [_combine(spec, n, b, p) for b, p in zip(b_sums.tolist(), partials)]
+    return [_combine(spec, n, b, c) for b, c in zip(b_sums.tolist(), cells)]
 
 
 def _combine(spec: KernelSpec, n: int, b_sum, partials: np.ndarray) -> float:
     """A - 2 b_sum / n + (exactly rounded sum of the partials) / n^2.
 
-    The zeros left of each row's diagonal segment add nothing to the sum.
+    The zeros of the short last row group's cells add nothing to the sum.
     """
-    c_sum = math.fsum(partials.data)
+    c_sum = math.fsum(partials.ravel().data)
     return spec.a - 2.0 * float(b_sum) / n + c_sum / (n * n)
 
 
@@ -214,8 +220,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     n, d = coords.shape
     fill, mirrored = factor_tiles(spec)
     grad = np.empty((n, d))
-    partials = np.zeros(n * -(-n // _SEGMENT))
-    cells = partials.reshape(n, -1)
+    cells = _partial_cells(1, n)[0]
 
     # the factors are laid out [j, i, k] = C_j(x_ij, x_kj), as in c_cross,
     # and the product left out at j = d - 1 is the prefix chain
@@ -230,7 +235,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     # derivatives, the leave-one-out products (x - z first) and the mirrors
     m = min(n, _SEGMENT)
     bufs = [np.empty((d, m * m)) for _ in range(4 if mirrored and n > m else 3)]
-    for i0, i1, k0, k1 in _segment_pairs(n):
+    for p, (i0, i1, k0, k1) in enumerate(_segment_pairs(n)):
         upper = k0 > i0
         cs, dcs, work, *ms = [b[:, :(i1 - i0) * (k1 - k0)].reshape(d, i1 - i0, k1 - k0)
                               for b in bufs]
@@ -257,7 +262,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
                 grad[k0:k1, j] += part
         # in place: no second tile-sized array; exc is not read again
         exc *= cs[-1]
-        out = cells[i0:i1, k0 // _SEGMENT]
+        out = cells[p, :i1 - i0]
         exc.sum(axis=1, out=out)
         if upper:
             out *= 2.0
@@ -266,7 +271,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     bs = [spec.b_col(col, j) for j, col in enumerate(coords.T)]
     for j, exc in enumerate(_leave_one_out(bs)):
         grad[:, j] -= (2.0 / n) * spec.b_prime_col(coords[:, j], j) * exc
-    return _combine(spec, n, (exc * bs[-1]).sum(), partials), grad
+    return _combine(spec, n, (exc * bs[-1]).sum(), cells), grad
 
 
 def _column_sums(tile: np.ndarray) -> np.ndarray:

@@ -222,11 +222,30 @@ def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
 
 def _crossover(measure, d: int, gamma) -> tuple[float, float, float]:
     """(J, single, t): n*E[D^2] of IID points, the replicated anchor's
-    value, and the crossover t = J / single (+inf if single <= 0)."""
-    j = _constant_products(_spec_for(measure, d, gamma))
-    single = single_point_value(measure, d, anchor_point(measure, d),
-                                gamma=gamma)
-    return j, single, (j / single if single > 0.0 else math.inf)
+    value, and the crossover t = J / single (+inf if single <= 0), taken
+    for an unweighted measure from `_scaled_crossover`."""
+    spec = _spec_for(measure, d, gamma)
+    anchor = anchor_point(measure, d)
+    j = _constant_products(spec)
+    single = single_point_value(measure, d, anchor, gamma=gamma)
+    num, den = (j, single) if spec.gamma is not None else _scaled_crossover(spec, anchor[0])
+    return j, single, (num / den if den > 0.0 else math.inf)
+
+
+def _scaled_crossover(spec: KernelSpec, p: float) -> tuple[float, float]:
+    """J / m^d and single / m^d for an unweighted anchor with coordinate p on
+    every axis: J = u^d - v^d and single = A - 2 b^d + c^d, with u, v = E C(u,u),
+    E C(u,v), b, c = B(p), C(p, p) and A = ±|A_1|^d.  Every 1-D constant is
+    divided by the largest magnitude m before its power is taken, so the
+    ratio stays finite where J and single leave float range (12^-d is 0.0
+    from d = 300)."""
+    a1 = _unweighted_spec(spec.measure, 1).a
+    b, c = float(spec.b_col(p, 0)), float(spec.c_col(p, p, 0))
+    consts = (spec.ec_uu, spec.ec_uv, a1, b, c)
+    m = max(abs(x) for x in consts)
+    u, v, a, b, c = (x / m for x in consts)
+    d = spec.d
+    return u ** d - v ** d, math.copysign(abs(a) ** d, a1) - 2.0 * b ** d + c ** d
 
 
 def iid_threshold(measure, d: int, *, gamma=None) -> float:

@@ -554,6 +554,32 @@ class TestBatchedSweeps:
             want = _cross_sums(spec, axis, np.vstack([old, new]))
         assert got.tobytes() == want.tobytes() == generic.tobytes()
 
+    # _SUM_BLOCK // k rows per group: blocks of 2 to 2^13 floats cut bases of
+    # up to 300 rows into groups of one row up to the whole base, and blocks
+    # under k floats cut grid lines into spans
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tag=st.sampled_from(ALL_TAGS),
+        d=st.integers(1, 3),
+        n=st.integers(1, 300),
+        k=st.integers(2, 17),
+        block=st.integers(2, 2**13),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(tag="sym", d=3, n=300, k=17, block=17, seed=0)
+    @example(tag="mix", d=2, n=300, k=9, block=9 * 299, seed=1)
+    @example(tag="ctr_weighted", d=1, n=257, k=17, block=5, seed=2)
+    def test_row_groups_match_generic_sum(self, tag, d, n, k, block, seed):
+        group = max(1, block // k)
+        assume(-(-n // group) * k ** d // max(2, block // group) <= 2**13)
+        spec = _spec(tag, d)
+        pts = iid_uniform(n, d, seed=seed).coords
+        generic = np.sum(c_cross(spec, pts, _candidate_grid(d, k)), axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_SUM_BLOCK", block)
+            got = _cross_sums(spec, _grid_axis(d, k), pts)
+        assert got.tobytes() == generic.tobytes()
+
     @pytest.mark.parametrize("rows,tail", [(3, (48, 65)), (12, (60, 65))])
     def test_block_of_48_ends_lines_in_a_merged_tail(self, rows, tail):
         with pytest.MonkeyPatch.context() as mp:

@@ -224,6 +224,13 @@ class TestPathologyRows:
         assert row.threshold_match == "mismatch"
         assert row.table1_match == "mismatch"
 
+    @pytest.mark.parametrize("tag", ["star", "ext", "ctr"])
+    def test_consistent_rows_match_at_any_d(self, tag):
+        # ext's and ctr's single value 12^-d is subnormal from d = 286 and
+        # 0.0 from d = 300; ctr's 3^d leaves float range from d = 647
+        flags = {d: pathology_row(tag, d).table1_match for d in range(1, 601)}
+        assert [d for d, flag in flags.items() if flag != "match"] == []
+
     def test_table_covers_all_rows(self):
         rows = pathology_table([1, 2])
         assert len(rows) == 2 * len(TABLE_MEASURES)
