@@ -1,9 +1,9 @@
-"""Gradient descent on point sets, and how optimized sets transfer.
+"""Optimizing point sets, and how optimized sets transfer.
 
 All measures except the two with kernel kinks in the product term are
 differentiable in every point coordinate, so a point set can be pushed
-downhill directly: project each step back into the unit cube, keep the
-best of several restarts.
+downhill directly: L-BFGS-B with the exact gradient, every coordinate
+bounded to [0, 1], keeping the best of several restarts.
 
 A set optimized for one measure is then re-scored under the others.
 The ratio (its root under measure m) / (the root of the set optimized
@@ -22,7 +22,7 @@ from l2disc import (
     squared_discrepancy,
 )
 
-# Modest budget so the demo runs in seconds; larger budgets reach the
+# Three restarts so the demo runs in seconds; more restarts reach the
 # published-quality values (see the acceptance tests).
 cfg = OptimizerConfig(restarts=3, iterations=3000, seed=11)
 init = sobol(16, 2)

@@ -6,7 +6,7 @@ O(d n^2).  On top of that kernel layer the package provides a geometric
 Monte-Carlo oracle that validates the closed forms, an analysis of the
 replicated-point pathology with expected-value formulas under IID
 sampling, and two constructors of low-discrepancy point sets: greedy
-batch extension and multi-restart projected-gradient optimization.
+batch extension and multi-restart L-BFGS-B optimization.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ disc       closed-form squared discrepancy of a CSV point set
 oracle     Monte-Carlo geometric estimate vs the closed form
 pathology  replicated-point pathology table as CSV
 greedy     greedy extension of a point set
-optimize   multi-restart projected-gradient optimization
+optimize   multi-restart L-BFGS-B optimization
 crosseval  ratio matrix across per-measure optimized sets
 tables     reproduce published comparison tables side by side
 
@@ -18,9 +18,10 @@ a flat JSON object with sorted keys — next to its primary output
 (``<out>.run.json``) and prints it to stdout.  Measured elapsed time
 goes to stderr only and is serialized as null, so rerunning a command
 with identical flags and seeds reproduces every output file
-bit-for-bit.  The DISC_THREADS environment variable is validated (exit
-2 on a non-integer or non-positive value) and has no other effect:
-evaluation is single-threaded and deterministic.
+bit-for-bit (``optimize`` and optimized ``tables``: per numpy and scipy
+install).  The DISC_THREADS environment variable is validated (exit 2 on
+a non-integer or non-positive value) and has no other effect: evaluation
+is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -353,7 +354,7 @@ def _cmd_optimize(args, started: float) -> int:
         raise BudgetExhaustedError(
             f"optimized root {root:.6g} missed the requested target "
             f"{args.target:.6g} within {args.restarts} restarts x "
-            f"{args.iters} iterations")
+            f"{args.iters} evaluations")
     return 0
 
 
@@ -549,13 +550,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, measure=True, gamma=True)
     p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser("optimize", help="projected-gradient optimization")
+    p = sub.add_parser("optimize", help="multi-restart L-BFGS-B optimization")
     p.add_argument("--in", dest="in_path", default=None,
                    help="initial set CSV (default: sobol --n --d)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=20_000)
+    p.add_argument("--iters", type=int, default=20_000,
+                   help="value+gradient evaluations per restart")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=float, default=None,
                    help="root-discrepancy target; exit 4 if missed")

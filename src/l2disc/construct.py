@@ -26,11 +26,11 @@ each v = y_mj or y_mj +- step (a sweep moves only coordinates it has passed);
 a trial is one index array into the sweep's tables, and only the trials the
 one-at-a-time scan would make count.  None of this moves a bit.
 
-Optimization is projected gradient descent with momentum: restart 0 starts
-from the caller's set, further restarts from IID uniform sets drawn from a
-counter-based generator keyed by (seed, restart).  Every candidate result
-is re-verified by a fresh closed-form evaluation before the winner is
-chosen (lowest value, then lowest restart index).
+Optimization is L-BFGS-B on the box [0, 1]^{nd} with the exact gradient:
+restart 0 starts from the caller's set, further restarts from IID uniform
+sets drawn from a counter-based generator keyed by (seed, restart).  Every
+candidate result is re-verified by a fresh closed-form evaluation before the
+winner is chosen (lowest value, then lowest restart index).
 """
 
 from __future__ import annotations
@@ -107,21 +107,16 @@ class GreedyConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for multi-restart projected gradient descent.
+    """Settings for multi-restart L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
 
-    The step size starts at ``initial_step`` (default 0.05/sqrt(d)) and
-    is multiplied by ``step_decay`` every ``decay_interval`` iterations.
-    A restart stops early once ``patience`` consecutive iterations fail
-    to improve its best squared value by more than ``tolerance``.
+    ``iterations`` caps the value+gradient evaluations of each restart.  A
+    restart also stops once ``patience`` evaluations in a row fail to
+    improve its best squared value by more than ``tolerance``, and after a
+    pass of L-BFGS-B that gains no more than ``tolerance``.
     """
 
     restarts: int = 8
     iterations: int = 20_000
-    initial_step: Optional[float] = None
-    step_decay: float = 0.98
-    decay_interval: int = 100
-    momentum: float = 0.9
-    projection: str = "clamp"
     seed: int = 0
     tolerance: float = 1e-14
     patience: int = 2_000
@@ -129,19 +124,6 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         check_count("restarts", self.restarts, 1)
         check_count("iterations", self.iterations, 1)
-        if self.initial_step is not None:
-            check_positive("initial_step", self.initial_step)
-        if not 0.0 < self.step_decay <= 1.0:
-            raise ValidationError(
-                f"step_decay must lie in (0, 1], got {self.step_decay}")
-        check_count("decay_interval", self.decay_interval, 1)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(
-                f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.projection != "clamp":
-            raise ValidationError(
-                f"unknown projection rule {self.projection!r}; "
-                "only 'clamp' (coordinatewise clip to [0,1]) is supported")
         check_positive("tolerance", self.tolerance)
         check_count("patience", self.patience, 1)
         check_seed(self.seed)
@@ -152,7 +134,7 @@ class Trace:
     """Record of one construction run.
 
     ``values`` holds the raw squared value recorded at each step
-    (greedy) or each iteration of the winning restart (optimizer);
+    (greedy) or each evaluation of the winning restart (optimizer);
     ``best_values`` is its running minimum, hence non-increasing.
     ``final_value`` is re-verified by a fresh closed-form evaluation of
     ``final``.  Both constructors build it in one place, ``_trace``.
@@ -421,8 +403,15 @@ def greedy_extend(spec: KernelSpec, points: PointSet, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent
+# L-BFGS-B with restarts
 # ---------------------------------------------------------------------------
+
+#: L-BFGS-B's tests on the relative reduction and on the projected gradient
+_FTOL, _GTOL = 1e-15, 1e-12
+
+
+class _Stop(Exception):
+    """A restart has spent its evaluations or its patience."""
 
 
 def _restart_start(init: np.ndarray, restart: int, seed: int) -> np.ndarray:
@@ -435,45 +424,51 @@ def _restart_start(init: np.ndarray, restart: int, seed: int) -> np.ndarray:
 
 def _run_restart(spec: KernelSpec, start: np.ndarray, cfg: OptimizerConfig
                  ) -> tuple[np.ndarray, float, list, int]:
-    step0 = cfg.initial_step
-    if step0 is None:
-        step0 = 0.05 / math.sqrt(spec.d)
-    x = start.copy()
-    velocity = np.zeros_like(x)
-    best_value = math.inf
-    best_x = x.copy()
-    path = []
-    stalled = 0
-    evals = 0
-    for it in range(cfg.iterations):
+    """L-BFGS-B from ``start``, then again from the best point with fresh
+    curvature memory while a pass gains more than ``tolerance``: the best
+    point evaluated, its value, every evaluated value and their count."""
+    from scipy.optimize import Bounds, minimize  # slow to import; only here
+
+    best_x, best_value, path, stalled = start, math.inf, [], 0
+
+    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_x, best_value, stalled
+        x = np.clip(flat, 0.0, 1.0).reshape(start.shape)  # a step may round past a bound
         value, grad = value_and_gradient(spec, x)
-        evals += 1
         path.append(value)
-        if value < best_value:
-            gain = best_value - value
-            best_value = value
-            best_x = x.copy()
-            stalled = 0 if gain > cfg.tolerance else stalled + 1
-        else:
-            stalled += 1
-        if stalled >= cfg.patience:
-            break
-        step = step0 * cfg.step_decay ** (it // cfg.decay_interval)
-        velocity = cfg.momentum * velocity - step * grad
-        x = np.clip(x + velocity, 0.0, 1.0)
-    return best_x, best_value, path, evals
+        gain = best_value - value
+        if gain > 0.0:
+            best_x, best_value = x, value
+        stalled = 0 if gain > cfg.tolerance else stalled + 1
+        if len(path) >= cfg.iterations or stalled >= cfg.patience:
+            raise _Stop
+        return value, grad.ravel()
+
+    # maxiter and maxfun never end a pass before _Stop does
+    options = dict(ftol=_FTOL, gtol=_GTOL, maxiter=cfg.iterations, maxfun=cfg.iterations)
+    try:
+        while True:
+            before = best_value
+            minimize(objective, best_x.ravel(), jac=True, method="L-BFGS-B",
+                     bounds=Bounds(0.0, 1.0), options=options)
+            if before - best_value <= cfg.tolerance:
+                break
+    except _Stop:
+        pass
+    return best_x, best_value, path, len(path)
 
 
 def optimize(spec: KernelSpec, init: PointSet,
              cfg: Optional[OptimizerConfig] = None) -> tuple[PointSet, Trace]:
-    """Minimize the squared discrepancy by momentum PGD with restarts.
+    """Minimize the squared discrepancy by L-BFGS-B with restarts.
 
     Restart 0 descends from ``init``; restarts 1..restarts-1 descend
     from IID uniform sets keyed by (seed, restart index).  Each
-    restart's best iterate is re-verified by a fresh closed-form
+    restart's best evaluated point is re-verified by a fresh closed-form
     evaluation, and the winner is the lowest re-verified value with
-    ties going to the lowest restart index.  Iterates stay in [0,1]^d
-    by coordinatewise clamping.
+    ties going to the lowest restart index.  Every coordinate stays in
+    [0, 1] by L-BFGS-B's bounds.  ``Trace.values`` holds one value per
+    value+gradient evaluation of the winning restart.
     """
     cfg = cfg or OptimizerConfig()
     if not spec.continuous:

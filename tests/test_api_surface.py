@@ -12,6 +12,9 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,7 +86,7 @@ SIGNATURES = {
     'l2disc.construct.GreedyConfig':
         "(batch: 'int' = 1, grid_k: 'int' = 65, refine_initial_step: 'Optional[float]' = None, refine_shrink: 'float' = 0.5, refine_min_step: 'float' = 1e-06, max_refine_evaluations: 'int' = 20000) -> None",
     'l2disc.construct.OptimizerConfig':
-        "(restarts: 'int' = 8, iterations: 'int' = 20000, initial_step: 'Optional[float]' = None, step_decay: 'float' = 0.98, decay_interval: 'int' = 100, momentum: 'float' = 0.9, projection: 'str' = 'clamp', seed: 'int' = 0, tolerance: 'float' = 1e-14, patience: 'int' = 2000) -> None",
+        "(restarts: 'int' = 8, iterations: 'int' = 20000, seed: 'int' = 0, tolerance: 'float' = 1e-14, patience: 'int' = 2000) -> None",
     'l2disc.construct.Trace':
         "(values: 'tuple', best_values: 'tuple', final: 'PointSet', final_value: 'float', winner_restart: 'int', evaluations: 'int') -> None",
     'l2disc.construct.cross_evaluate':
@@ -208,3 +211,14 @@ def test_all_is_unchanged(module):
 
 def test_signatures_are_unchanged():
     assert _signatures() == SIGNATURES
+
+
+def test_import_loads_neither_scipy_nor_numpy_polynomial():
+    # scipy.optimize (optimize's L-BFGS-B) and numpy.polynomial (the
+    # quadrature nodes) load on first use, so `import l2disc` pays for neither
+    code = ("import sys, l2disc; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,7 +8,9 @@ and re-recorded them: summing every kernel row with numpy and combining the
 row sums with math.fsum (squared values, every value-and-gradient pin and a
 greedy final value; `value_and_gradient` now returns the value pinned in
 VALUE), and computing the IID expectation as J/n without the analytically
-zero constant (EXPECTED_IID).  Every pin is exact, sym_weighted included.
+zero constant (EXPECTED_IID), and replacing projected gradient descent by
+L-BFGS-B (OPTIMIZE_PER_FINAL, which holds per numpy and scipy install).
+Every pin is exact, sym_weighted included.
 VALUE_SEGMENTED pins values at n = 300, where each row spans three
 128-column segments, so the segment rule's doubled upper segments are
 pinned too; every other value pin has n <= 128, one segment per row.
@@ -142,7 +144,7 @@ MC_EXPECTED_IID_CHUNKED = ("0x1.c7d1f2fc8edafp-7", "0x1.e719d609a23cfp-15")
 # default pattern-search budget: final value and sha256 of the final coords
 GREEDY_PATTERN = ("0x1.8240a00674d80p-10",
                   "d005a6eac6142fc2b390bc2bd70e4bd1743e98dc5e4d983d38b7ed5192ece860")
-OPTIMIZE_PER_FINAL = "0x1.a7fb9cdbdfc58p-8"
+OPTIMIZE_PER_FINAL = "0x1.3fceafa365cb0p-8"
 # geometric oracle (mean, stderr) on iid_uniform(8, d) with 70 000 anchors:
 # one full accumulation chunk and a partial second one; the "-n300" cases
 # run on iid_uniform(300, d), whose points span two 255-point count blocks

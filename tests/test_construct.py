@@ -1,4 +1,4 @@
-"""Construction: greedy extension, projected-gradient optimizer, cross-eval."""
+"""Construction: greedy extension, L-BFGS-B optimizer, cross-eval."""
 
 from __future__ import annotations
 
@@ -72,23 +72,13 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             OptimizerConfig(iterations=0)
         with pytest.raises(ValidationError):
-            OptimizerConfig(momentum=1.5)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(projection="wrap")
-        with pytest.raises(ValidationError):
             OptimizerConfig(tolerance=0.0)
         for seed in (-1, 0.5, None):
             with pytest.raises(ValidationError, match="seed"):
                 OptimizerConfig(seed=seed)
 
-    @pytest.mark.parametrize("value", [0.0, 1.5])
-    def test_optimizer_rejects_step_decay_outside_unit_interval(self, value):
-        with pytest.raises(ValidationError, match=r"step_decay must lie in \(0, 1\]"):
-            OptimizerConfig(step_decay=value)
-
     @pytest.mark.parametrize("value", [2.5, True, "3", 0])
-    @pytest.mark.parametrize("field", ["restarts", "iterations", "decay_interval",
-                                       "patience"])
+    @pytest.mark.parametrize("field", ["restarts", "iterations", "patience"])
     def test_optimizer_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             OptimizerConfig(**{field: value})
@@ -96,7 +86,7 @@ class TestConfigs:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0, "1"])
     @pytest.mark.parametrize("config,field", [
         (GreedyConfig, "refine_initial_step"), (GreedyConfig, "refine_min_step"),
-        (OptimizerConfig, "initial_step"), (OptimizerConfig, "tolerance"),
+        (OptimizerConfig, "tolerance"),
     ])
     def test_steps_and_tolerance_must_be_finite_and_positive(self, config, field,
                                                              value):
@@ -272,6 +262,70 @@ class TestOptimize:
             OptimizerConfig(restarts=2, iterations=300, seed=7),
         )
         assert min(trace.values) == trace.final_value
+
+    def test_iterations_cap_evaluations_per_restart(self):
+        _, trace = optimize(kernel_spec("star", 2), iid_uniform(8, 2, 61),
+                            OptimizerConfig(restarts=3, iterations=7, seed=8))
+        assert len(trace.values) <= 7
+        assert trace.evaluations <= 3 * 7
+
+    @pytest.mark.parametrize("patience", [1, 3, 10])
+    def test_patience_counts_evaluations_without_gain(self, patience):
+        # no evaluation gains more than 1.0, so after the first each one
+        # counts towards patience
+        cfg = OptimizerConfig(restarts=2, tolerance=1.0, patience=patience, seed=9)
+        _, trace = optimize(kernel_spec("ext", 2), iid_uniform(8, 2, 67), cfg)
+        assert len(trace.values) == 1 + patience
+        assert trace.evaluations == 2 * (1 + patience)
+
+    @pytest.mark.parametrize("tag", [t for t in ALL_TAGS if t != "cad"])
+    def test_every_evaluation_stays_in_the_box(self, monkeypatch, tag):
+        # a start on the box's faces keeps the bounds active; every point
+        # handed to value_and_gradient is inside [0, 1], and each call is
+        # one of Trace.evaluations
+        seen = []
+
+        def recording(spec, x):
+            seen.append((x.min(), x.max()))
+            return real(spec, x)
+
+        real = construct.value_and_gradient
+        monkeypatch.setattr(construct, "value_and_gradient", recording)
+        spec = _spec(tag, 2)
+        init = PointSet([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0],
+                         [0.5, 0.0], [1.0, 0.5]])
+        final, trace = optimize(spec, init,
+                                OptimizerConfig(restarts=2, iterations=300, seed=10))
+        assert len(seen) == trace.evaluations
+        assert min(lo for lo, _ in seen) >= 0.0 and max(hi for _, hi in seen) <= 1.0
+        assert final.coords.min() >= 0.0 and final.coords.max() <= 1.0
+        assert trace.final_value <= squared_discrepancy(spec, init).value
+
+    def test_each_pass_starts_from_the_best_point(self, monkeypatch):
+        import scipy.optimize
+
+        evaluated, starts = [], []
+
+        def recording(spec, x):
+            value, grad = real(spec, x)
+            evaluated.append((value, x.copy()))
+            return value, grad
+
+        def minimize(fun, x0, **kwargs):
+            starts.append((len(evaluated), x0.copy()))
+            return real_minimize(fun, x0, **kwargs)
+
+        real, real_minimize = construct.value_and_gradient, scipy.optimize.minimize
+        monkeypatch.setattr(construct, "value_and_gradient", recording)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        init = iid_uniform(6, 2, 71)
+        optimize(kernel_spec("sym", 2), init,
+                 OptimizerConfig(restarts=1, iterations=2000, seed=11))
+        assert len(starts) >= 2
+        np.testing.assert_array_equal(starts[0][1], init.coords.ravel())
+        for count, x0 in starts[1:]:
+            values = [value for value, _ in evaluated[:count]]
+            np.testing.assert_array_equal(x0, evaluated[values.index(min(values))][1].ravel())
 
     def test_deterministic_bit_for_bit(self):
         spec = kernel_spec("sym", 2)
@@ -452,8 +506,10 @@ class TestSlotScores:
         assert peak <= 10 * 2**20
 
     def test_cross_sums_peak_memory_is_bounded(self):
-        # 2048 rows keep 4 grid lines per prefix chunk; the whole (2048, 33^2)
-        # prefix table and the temporary that builds it peak at about 36 MiB
+        # 2048 rows go in groups of 496 (_SUM_BLOCK // 33), each with 16 grid
+        # lines per prefix chunk, and peak at about 1.22 MiB; the whole
+        # (2048, 33^2) prefix table and the temporary that builds it would
+        # take about 36 MiB
         spec = kernel_spec("sym", 3)
         coords = iid_uniform(2048, 3, seed=5).coords
         tracemalloc.start()
