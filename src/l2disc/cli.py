@@ -114,10 +114,12 @@ class RunRecord:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _record(command: str, *, measure=None, n=None, d=None, gamma=None,
-            squared=None, root=None, seeds=(), samples=None,
-            evaluations=None, **extra) -> RunRecord:
-    return RunRecord(
+def _emit(out_path: Optional[str], command: str, *, measure=None, n=None,
+          d=None, gamma=None, squared=None, root=None, seeds=(), samples=None,
+          evaluations=None, **extra) -> None:
+    """Write the command's run record to ``<out_path>.run.json``, unless
+    out_path is None, and print it."""
+    text = RunRecord(
         command=command,
         measure=None if measure is None else MeasureId.parse(measure).value,
         n=n, d=d,
@@ -127,18 +129,11 @@ def _record(command: str, *, measure=None, n=None, d=None, gamma=None,
         samples=samples, evaluations=evaluations,
         elapsed_ms=None, version=__version__,
         extra=extra or None,
-    )
-
-
-def _emit_record(record: RunRecord, out_path: Optional[str],
-                 started: float) -> None:
-    text = record.to_json()
+    ).to_json()
     if out_path is not None:
         with open(out_path + ".run.json", "w", newline="\n") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    elapsed = (time.perf_counter() - started) * 1000.0
-    print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,7 @@ _GENERATORS = {
 }
 
 
-def _cmd_gen(args, started: float) -> int:
+def _cmd_gen(args) -> None:
     kind = args.kind
     needs, build = _GENERATORS[kind]
     if any(getattr(args, dest) is None for dest in needs):
@@ -259,42 +254,33 @@ def _cmd_gen(args, started: float) -> int:
         raise ValidationError(f"gen {kind} needs {flags}")
     points = build(args)
     write_points(args.out, points)
-    seeds = (args.seed,) if kind == "iid" else ()
-    record = _record("gen", n=points.n, d=points.d, seeds=seeds, kind=kind,
-                     out=args.out)
-    _emit_record(record, args.out, started)
-    return 0
+    _emit(args.out, "gen", n=points.n, d=points.d,
+          seeds=(args.seed,) if kind == "iid" else (), kind=kind, out=args.out)
 
 
-def _cmd_disc(args, started: float) -> int:
+def _cmd_disc(args) -> None:
     points = read_points(args.in_path)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
     result = squared_discrepancy(spec, points)
-    record = _record("disc", measure=args.measure, n=points.n, d=points.d,
-                     gamma=gamma, squared=result.value, root=result.root)
-    _emit_record(record, args.out, started)
-    return 0
+    _emit(args.out, "disc", measure=args.measure, n=points.n, d=points.d,
+          gamma=gamma, squared=result.value, root=result.root)
 
 
-def _cmd_oracle(args, started: float) -> int:
+def _cmd_oracle(args) -> None:
     points = read_points(args.in_path)
     # the estimate first, so a measure without geometry is named as such
     estimate = mc_squared_discrepancy(args.measure, points,
                                       samples=args.samples, seed=args.seed)
     closed = squared_discrepancy(kernel_spec(args.measure, points.d), points)
-    record = _record(
-        "oracle", measure=args.measure, n=points.n, d=points.d,
-        squared=closed.value, root=closed.root,
-        seeds=(args.seed,), samples=args.samples,
-        oracle_mean=estimate.mean, oracle_stderr=estimate.stderr,
-        agrees_within_4_stderr=estimate.agrees_with(closed.value),
-    )
-    _emit_record(record, args.out, started)
-    return 0
+    _emit(args.out, "oracle", measure=args.measure, n=points.n, d=points.d,
+          squared=closed.value, root=closed.root,
+          seeds=(args.seed,), samples=args.samples,
+          oracle_mean=estimate.mean, oracle_stderr=estimate.stderr,
+          agrees_within_4_stderr=estimate.agrees_with(closed.value))
 
 
-def _cmd_pathology(args, started: float) -> int:
+def _cmd_pathology(args) -> None:
     if args.d < 1:
         raise ValidationError("pathology needs --d (maximum dimension) >= 1")
     rows = pathology_table(range(1, args.d + 1))
@@ -302,24 +288,21 @@ def _cmd_pathology(args, started: float) -> int:
                (astuple(r) for r in rows))
     mismatches = sorted({r.measure.value for r in rows
                          if r.table1_match == "mismatch"})
-    record = _record("pathology", d=args.d, out=args.out,
-                     rows=len(rows), mismatched_measures=mismatches)
-    _emit_record(record, args.out, started)
-    return 0
+    _emit(args.out, "pathology", d=args.d, out=args.out, rows=len(rows),
+          mismatched_measures=mismatches)
 
 
-def _cmd_greedy(args, started: float) -> int:
+def _cmd_greedy(args) -> None:
     points = read_points(args.in_path)
     gamma = _parse_floats("--gamma", args.gamma)
     spec = kernel_spec(args.measure, points.d, gamma)
     cfg = GreedyConfig(batch=args.batch, grid_k=args.grid_k)
     _, trace = greedy_extend(spec, points, args.steps, cfg)
-    _write_construction(args, gamma, trace, started, steps=args.steps,
+    _write_construction(args, gamma, trace, steps=args.steps,
                         batch=args.batch, grid_k=args.grid_k)
-    return 0
 
 
-def _write_construction(args, gamma, trace, started: float, **fields) -> float:
+def _write_construction(args, gamma, trace, **fields) -> float:
     """Write a construction run's set to --out, its trace to
     ``<out>.trace.json`` and its record; returns the root discrepancy."""
     write_points(args.out, trace.final)
@@ -328,14 +311,13 @@ def _write_construction(args, gamma, trace, started: float, **fields) -> float:
     with open(args.out + ".trace.json", "w", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     root = _root(trace)
-    record = _record(args.command, measure=args.measure, n=trace.final.n,
-                     d=trace.final.d, gamma=gamma, squared=trace.final_value,
-                     root=root, evaluations=trace.evaluations, **fields)
-    _emit_record(record, args.out, started)
+    _emit(args.out, args.command, measure=args.measure, n=trace.final.n,
+          d=trace.final.d, gamma=gamma, squared=trace.final_value, root=root,
+          evaluations=trace.evaluations, **fields)
     return root
 
 
-def _cmd_optimize(args, started: float) -> int:
+def _cmd_optimize(args) -> None:
     if not args.in_path and (args.n is None or args.d is None):
         raise ValidationError("provide --in, or both --n and --d")
     if args.target is not None:
@@ -346,7 +328,7 @@ def _cmd_optimize(args, started: float) -> int:
     cfg = OptimizerConfig(restarts=args.restarts, iterations=args.iters,
                           seed=args.seed)
     _, trace = optimize(spec, init, cfg)
-    root = _write_construction(args, gamma, trace, started, seeds=(args.seed,),
+    root = _write_construction(args, gamma, trace, seeds=(args.seed,),
                                restarts=args.restarts, iterations=args.iters,
                                winner_restart=trace.winner_restart,
                                target=args.target)
@@ -355,10 +337,9 @@ def _cmd_optimize(args, started: float) -> int:
             f"optimized root {root:.6g} missed the requested target "
             f"{args.target:.6g} within {args.restarts} restarts x "
             f"{args.iters} evaluations")
-    return 0
 
 
-def _cmd_crosseval(args, started: float) -> int:
+def _cmd_crosseval(args) -> None:
     measures = [m.strip() for m in args.measure.split(",")]
     if len(measures) < 2:
         raise ValidationError("crosseval needs >= 2 comma-separated measures")
@@ -367,11 +348,9 @@ def _cmd_crosseval(args, started: float) -> int:
         MeasureId.parse(m)
         sets[m] = read_points(os.path.join(args.in_path, f"{m}.csv"))
     ratios = _write_ratios(args.out, sets, measures)
-    record = _record("crosseval", d=next(iter(sets.values())).d,
-                     measures=measures, out=args.out, min_offdiag=float(
-                         ratios[~np.eye(len(measures), dtype=bool)].min()))
-    _emit_record(record, args.out, started)
-    return 0
+    _emit(args.out, "crosseval", d=next(iter(sets.values())).d,
+          measures=measures, out=args.out, min_offdiag=float(
+              ratios[~np.eye(len(measures), dtype=bool)].min()))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +451,12 @@ _TABLES = {
 }
 
 
-def _cmd_tables(args, started: float) -> int:
+def _cmd_tables(args) -> None:
     os.makedirs(args.out, exist_ok=True)
     outputs = _TABLES[args.which](args.out, args.preset, args.seed)
-    record = _record("tables", seeds=(args.seed,), which=args.which,
-                     preset=args.preset,
-                     outputs=[os.path.basename(p) for p in outputs])
-    _emit_record(record, os.path.join(args.out, args.which), started)
-    return 0
+    _emit(os.path.join(args.out, args.which), "tables", seeds=(args.seed,),
+          which=args.which, preset=args.preset,
+          outputs=[os.path.basename(p) for p in outputs])
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +569,7 @@ def main(argv=None) -> int:
         _check_disc_threads()
         # before any output, also where the subcommand never draws from it
         check_seed(getattr(args, "seed", 0))
-        return args.func(args, started)
+        args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -604,9 +581,13 @@ def main(argv=None) -> int:
     except NumericGuardError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
-    except BudgetExhaustedError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 4
+    except BudgetExhaustedError as exc:  # raised once the run's outputs are out
+        code, verdict = 4, f"\nbudget exhausted: {exc}"
+    else:
+        code, verdict = 0, ""
+    elapsed = (time.perf_counter() - started) * 1000.0
+    print(f"elapsed_ms={elapsed:.1f}{verdict}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

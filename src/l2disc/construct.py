@@ -163,13 +163,13 @@ def _trace(values: Sequence[float], final: PointSet, final_value: float,
 
 
 def _sweep_tables(spec: KernelSpec, base: np.ndarray, current: np.ndarray,
-                  offsets: np.ndarray, axes: np.ndarray) -> tuple:
+                  offsets: np.ndarray) -> tuple:
     """A sweep's (3b, d) values (row u: point u % b moved by offsets[u // b] of
-    [0, +step, -step], clamped), C_j(w_j, v_j) (d, n + 3b, 3b) for the rows w of
-    [base; values] as in ``_cross_tables``, and B_j(v_j) (d, 3b), on ``axes``."""
+    [0, +step, -step], clamped), the ``_cross_tables`` C_j(w_j, v_j) (d, n + 3b,
+    3b) of the rows w of [base; values], and B_j(v_j) (d, 3b)."""
     vals = np.minimum(np.maximum(current + offsets, 0.0), 1.0).reshape(-1, spec.d)
-    tab = spec.c_col(np.concatenate([base, vals]).T[:, :, None], vals.T[:, None, :], axes)
-    return vals, tab, spec.b_col(vals.T, axes[..., 0])
+    tab = _cross_tables(spec, np.concatenate([base, vals]), vals.T)
+    return vals, tab, spec.b_col(vals.T, np.arange(spec.d)[:, None])
 
 
 def _objective(cross: np.ndarray, b_tab: np.ndarray, pair: np.ndarray,
@@ -328,13 +328,13 @@ def _pattern_search(spec: KernelSpec, base: np.ndarray, start: np.ndarray,
     (b, d), n = current.shape, base.shape[0]
     axes, rows = np.arange(d)[:, None, None], np.arange(2 * b * d)
     offsets = np.array([0.0, step, -step])[:, None, None]  # shrinks with step
-    _, tab, b_tab = _sweep_tables(spec, base, current, offsets, axes)  # u < b: the start
+    _, tab, b_tab = _sweep_tables(spec, base, current, offsets)  # u < b: the start
     value = float(_objective(tab[:, None, :n, :b], b_tab[:, None, :b],
                              tab[:, None, n:n + b, :b], total)[0])
     evals = 1
     while step >= cfg.refine_min_step and evals < budget:
         improved = False
-        vals, tab, b_tab = _sweep_tables(spec, base, current, offsets, axes)
+        vals, tab, b_tab = _sweep_tables(spec, base, current, offsets)
         pair = tab[:, n:]
         cross = tab[:, :n].swapaxes(1, 2).copy()  # [j, u, i]: trials gather whole rows
         idx = np.repeat(rows[None, None, :b], d, axis=0)  # [j, 0, m]: row of y_mj
@@ -423,10 +423,10 @@ def _restart_start(init: np.ndarray, restart: int, seed: int) -> np.ndarray:
 
 
 def _run_restart(spec: KernelSpec, start: np.ndarray, cfg: OptimizerConfig
-                 ) -> tuple[np.ndarray, float, list, int]:
+                 ) -> tuple[np.ndarray, list]:
     """L-BFGS-B from ``start``, then again from the best point with fresh
     curvature memory while a pass gains more than ``tolerance``: the best
-    point evaluated, its value, every evaluated value and their count."""
+    point evaluated and every evaluated value."""
     from scipy.optimize import Bounds, minimize  # slow to import; only here
 
     best_x, best_value, path, stalled = start, math.inf, [], 0
@@ -455,7 +455,7 @@ def _run_restart(spec: KernelSpec, start: np.ndarray, cfg: OptimizerConfig
                 break
     except _Stop:
         pass
-    return best_x, best_value, path, len(path)
+    return best_x, path
 
 
 def optimize(spec: KernelSpec, init: PointSet,
@@ -480,8 +480,8 @@ def optimize(spec: KernelSpec, init: PointSet,
     total_evals = 0
     for r in range(cfg.restarts):
         start = _restart_start(init_coords, r, cfg.seed)
-        best_x, _, path, evals = _run_restart(spec, start, cfg)
-        total_evals += evals
+        best_x, path = _run_restart(spec, start, cfg)
+        total_evals += len(path)
         fresh = squared_discrepancy(spec, PointSet(best_x)).value
         if winner is None or fresh < winner[0]:
             winner = (fresh, r, best_x, path)

@@ -253,8 +253,11 @@ def reflect(points: PointSet, keep: Iterable[int]) -> PointSet:
     keep : iterable of int
         1-based coordinate indices to keep fixed (the mathematical
         convention for subsets of {1, ..., d}).  May be empty (reflect
-        everything) or the full set (identity).
+        everything) or the full set (identity).  A bool is not an index.
     """
+    keep = list(keep)
+    if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in keep):
+        raise ValidationError(f"reflection subset indices must be integers, got {keep!r}")
     kept = frozenset(int(j) for j in keep)
     d = points.d
     bad = sorted(j for j in kept if j < 1 or j > d)

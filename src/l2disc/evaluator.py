@@ -204,10 +204,12 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     I <= K.  Each pair is computed once: the tile's row sums give rows of I
     their segment-K partials and, for K > I, the column sums of the mirrored
     derivative, dC(z, x)/dx times the same leave-one-out product (exc is
-    symmetric), give rows of K their segment-I partials.  Each row adds its
-    per-segment partials in segment order, and for n <= 128 the one tile
-    sums whole rows.  The value takes the segment rule's partials off the C
-    products of the same tiles, so it is `squared_value`'s bit for bit.  The
+    symmetric), give rows of K their segment-I partials; an odd derivative's
+    mirror is -dC exactly, so there those rows subtract dC's column sums.
+    Each row adds its per-segment partials in segment order to -0.0, which
+    keeps the first one exactly, and for n <= 128 the one tile sums whole
+    rows.  The value takes the segment rule's partials off the C products of
+    the same tiles, so it is `squared_value`'s bit for bit.  The
     factors, their derivatives, their mirrors and the leave-one-out products
     are four (d, 128, 128) arrays (three with no mirror) allocated once per
     call, at most 0.5 d MiB.
@@ -219,7 +221,7 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     coords = _checked_coords(spec, coords)
     n, d = coords.shape
     fill, mirrored = factor_tiles(spec)
-    grad = np.empty((n, d))
+    grad = np.full((n, d), -0.0)
     cells = _partial_cells(1, n)[0]
 
     # the factors are laid out [j, i, k] = C_j(x_ij, x_kj), as in c_cross,
@@ -227,9 +229,8 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     # f_0 ... f_{d-2}, so exc * cs[-1] and exc * bs[-1] have the bits of
     # c_cross and b_rows; right is a contiguous copy of the columns, which
     # numpy's broadcast (m, 1) x (1, k) loops run faster on than on strided
-    # views.  Every row's segment-0 partial comes from row group 0, so
-    # i0 == 0 writes the partials and later groups add theirs in segment
-    # order.
+    # views.  -0.0 + x is x for every x, zeros included, so each row adds
+    # every partial alike, in segment order.
     right = np.ascontiguousarray(coords.T)[:, None, :]
     # (d, m, k) tile arrays, one allocation each: the factors, their
     # derivatives, the leave-one-out products (x - z first) and the mirrors
@@ -242,24 +243,14 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
         ms = ms[0] if upper and ms else None
         fill(coords[i0:i1].T[:, :, None], right[:, :, k0:k1], cs, dcs, ms, work)
         for j, exc in enumerate(_leave_one_out(list(cs), list(work))):
-            dct = dcs[j]
-            dct *= exc
-            if i0 == 0 and not upper:
-                dct.sum(axis=1, out=grad[i0:i1, j])
-            else:
-                grad[i0:i1, j] += dct.sum(axis=1)
-            if not upper:
-                continue
+            dcs[j] *= exc
+            grad[i0:i1, j] += dcs[j].sum(axis=1)
             # the rows of the tile's columns get their segment-I partials
-            if mirrored:
+            if ms is not None:
                 ms[j] *= exc
-                part = _column_sums(ms[j])
-            else:
-                part = np.negative(_column_sums(dct))
-            if i0 == 0:
-                grad[k0:k1, j] = part
-            else:
-                grad[k0:k1, j] += part
+                grad[k0:k1, j] += _column_sums(ms[j])
+            elif upper:
+                grad[k0:k1, j] -= _column_sums(dcs[j])
         # in place: no second tile-sized array; exc is not read again
         exc *= cs[-1]
         out = cells[p, :i1 - i0]

@@ -278,6 +278,8 @@ def even_subset_volume(a) -> float:
     """
     arr = np.asarray(a, dtype=np.float64).reshape(-1)
     d = arr.size
+    if d == 0 or _outside_cube(arr):
+        raise ValidationError("anchor must be finite and lie in [0, 1]^d with d >= 1")
     if d > 20:
         raise ValidationError("subset summation is exponential in d; d > 20 refused")
     total = 0.0

@@ -14,6 +14,10 @@ Every pin is exact, sym_weighted included.
 VALUE_SEGMENTED pins values at n = 300, where each row spans three
 128-column segments, so the segment rule's doubled upper segments are
 pinned too; every other value pin has n <= 128, one segment per row.
+GRADIENT_SEGMENTED_SHA256 and GRADIENT_LATTICE_SHA256 pin gradients past
+one segment, so the partials that rows take from the column sums of upper
+tiles, mirrored or subtracted, are pinned too, the signs of exact zeros
+included: the lattice's gradients hold 34-98 of them per measure.
 """
 
 from __future__ import annotations
@@ -129,6 +133,29 @@ GRADIENT_SHA256 = {
     "sym-d2": "1bbb2c9f5a75e7fc705d8e8309cdc5c384f7299faf583d30e5cd9a672c44d188",
     "sym_weighted-d2": "5f750bc8e11b8c6b83ec66215c7408e954902dbbf98742863d8431fadf702cb0",
 }
+# the gradient on iid_uniform(300, 3), VALUE_SEGMENTED's set
+GRADIENT_SEGMENTED_SHA256 = {
+    "asd": "d15b03ac23b190198ea78c11786454fcb2db6f5ab58124ed127d5cdd814b1482",
+    "ctr": "cc6ec4702fdd190b4f86305c1f5d73ccadac771351cb5c4f8301ff9df9c43364",
+    "ctr_weighted": "7f0727c0cc5510a0c372c5afa4256ff590b458399a68e4ebc13f03d1bc7af3dc",
+    "ext": "67e444182812f823e23faa86e72150269a13bd5db0c96eb681e0b18392b75343",
+    "mix": "a8ca916e54590c0841a682592dfe94a710cf7a5e2e6bef5c5a5770e403a04a42",
+    "per": "dc29b4aa0c1abf143aa9cff11ad692b2ecaf3f787f54312d3b4838df0890ff9d",
+    "star": "524593014a7cd222d54a04ddcca2150ec9aee5093a8bcc05454f93a3b7d94829",
+    "sym": "806d7784db4c496b90142749f2d1b08fd17c14e8e480ed900b210a8f6ce49302",
+    "sym_weighted": "d689588e2eb86de037f4c7f65ae8da4fb6472bc69ad9b306e869795cd41a6d33",
+}
+# the gradient on the 17 x 17 inclusive lattice, linspace(0, 1, 17) squared
+LATTICE_K = 17
+GRADIENT_LATTICE_SHA256 = {
+    "asd": "e48657ea240c97ac7cb619f29ad6c0997cd6fa47d5db55c60cc8bd87aeae1a1a",
+    "ctr": "6c0a58d65101c806ea9a13c7a56945b472f8a3fd08128d6177744fe2c0a10e94",
+    "ext": "818017e4d555aebee0ffecad32a57d45fd6ec57dcaa7998d629d470dfb6660d3",
+    "mix": "70067a7a5c7117d8a3335a7a0bb68d84a39dae01fbeaeb83e8d050afa44fd14c",
+    "per": "3d97694ba310358bcb9297e25e9926d276e953ce14609bddb4707daa80c813b2",
+    "star": "9299cc78d5eb60d27f59c35ddc7e75c64b0e2a72fe03c64e3e39cddb34d9c22f",
+    "sym": "818017e4d555aebee0ffecad32a57d45fd6ec57dcaa7998d629d470dfb6660d3",
+}
 GREEDY_FINAL = {
     "per": "0x1.e770e98607770p-9",
     "ctr_weighted": "0x1.4a79619f7dbb0p-4",
@@ -184,6 +211,10 @@ def _spec(measure, d=D):
     return kernel_spec(measure, d, gamma=_gamma(measure, d))
 
 
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def points():
     return iid_uniform(N, D, seed=SEED)
@@ -221,8 +252,23 @@ def test_value_and_gradient(case, points):
         spec, coords = _spec(measure), points.coords
     value, grad = value_and_gradient(spec, coords)
     assert float(value).hex() == (VG_VALUE[case] if small else VALUE[measure])
-    digest = hashlib.sha256(np.ascontiguousarray(grad).tobytes()).hexdigest()
-    assert digest == GRADIENT_SHA256[case]
+    assert _digest(grad) == GRADIENT_SHA256[case]
+
+
+@pytest.mark.parametrize("measure", sorted(GRADIENT_SEGMENTED_SHA256))
+def test_value_and_gradient_segmented(measure):
+    coords = iid_uniform(N3, D, seed=SEED).coords
+    value, grad = value_and_gradient(_spec(measure), coords)
+    assert float(value).hex() == VALUE_SEGMENTED[measure]
+    assert _digest(grad) == GRADIENT_SEGMENTED_SHA256[measure]
+
+
+@pytest.mark.parametrize("measure", sorted(GRADIENT_LATTICE_SHA256))
+def test_value_and_gradient_lattice(measure):
+    axis = np.linspace(0.0, 1.0, LATTICE_K)
+    coords = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grad = value_and_gradient(kernel_spec(measure, 2), coords)[1]
+    assert _digest(grad) == GRADIENT_LATTICE_SHA256[measure]
 
 
 @pytest.mark.parametrize("measure", sorted(GREEDY_FINAL))
@@ -247,8 +293,7 @@ def test_greedy_extend_pattern_scale():
     start = iid_uniform(64, 3, seed=SEED)
     final, trace = greedy_extend(_spec("mix"), start, 2,
                                  GreedyConfig(batch=2, grid_k=17))
-    digest = hashlib.sha256(np.ascontiguousarray(final.coords).tobytes()).hexdigest()
-    assert (float(trace.final_value).hex(), digest) == GREEDY_PATTERN
+    assert (float(trace.final_value).hex(), _digest(final.coords)) == GREEDY_PATTERN
 
 
 @pytest.mark.parametrize("case", sorted(MC_SQUARED))

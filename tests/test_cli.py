@@ -115,6 +115,35 @@ class TestRunRecords:
         assert {"oracle_mean", "oracle_stderr", "agrees_within_4_stderr"} <= set(record)
         assert record["agrees_within_4_stderr"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "fib", "--n", 5, "--out", "f.csv"],
+        ["disc", "--measure", "star", "--in", "p.csv"],
+        ["pathology", "--d", 1, "--out", "path.csv"],
+    ], ids=["gen", "disc", "pathology"])
+    def test_success_writes_one_elapsed_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_points("p.csv", iid_uniform(5, 2, 163))
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"elapsed_ms=\d+\.\d\n", captured.err)
+        assert json.loads(captured.out)["command"] == argv[0]
+
+    def test_missed_target_reports_elapsed_then_budget(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(
+            ["optimize", "--measure", "star", "--n", 4, "--d", 2,
+             "--restarts", 1, "--iters", 60, "--seed", 19,
+             "--target", 1e-6, "--out", out]
+        ) == 4
+        captured = capsys.readouterr()
+        elapsed, budget = captured.err.splitlines(keepends=True)
+        assert re.fullmatch(r"elapsed_ms=\d+\.\d\n", elapsed)
+        assert budget.startswith("budget exhausted: optimized root ")
+        assert json.loads(captured.out) == json.loads(
+            (tmp_path / "o.csv.run.json").read_text())
+        for suffix in ("", ".run.json", ".trace.json"):
+            assert (tmp_path / f"o.csv{suffix}").exists()
+
 
 class TestSubcommands:
     def test_gen_point_kind(self, tmp_path):

@@ -137,6 +137,19 @@ class TestReflect:
         with pytest.raises(ValidationError):
             reflect(ps, {0})
 
+    @pytest.mark.parametrize("keep", [[1.9], [True], ["1"]])
+    def test_non_integer_index_is_refused(self, keep):
+        # int() would read 1.9 and True as coordinate 1
+        with pytest.raises(ValidationError, match="must be integers"):
+            reflect(PointSet(np.array([[0.2, 0.7]])), keep)
+
+    @pytest.mark.parametrize("keep", [{1, 2}, [np.int64(2)]])
+    def test_integer_indices_are_accepted(self, keep):
+        ps = PointSet(np.array([[0.25, 0.75]]))
+        out = reflect(ps, keep)
+        expected = [[0.25, 0.75]] if 1 in keep else [[0.75, 0.75]]
+        np.testing.assert_array_equal(out.coords, expected)
+
     def test_involution_is_exact(self):
         rng = np.random.Generator(np.random.Philox(5))
         ps = PointSet(rng.random((20, 4)))

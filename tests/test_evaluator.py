@@ -358,8 +358,8 @@ class TestTiles:
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 385])
     def test_segment_pairs_visit_each_pair_once_in_row_group_order(self, n):
-        # the gradient writes each row's first partial and adds the later
-        # ones, so the pairs must come row group by row group, diagonal first
+        # gradient rows add every partial in segment order, starting from
+        # -0.0, so the pairs must come row group by row group, diagonal first
         groups = -(-n // SEGMENT)
         pairs = list(evaluator._segment_pairs(n))
         assert [(i0 // SEGMENT, k0 // SEGMENT) for i0, _, k0, _ in pairs] == [

@@ -220,6 +220,13 @@ class TestSymVolumeIdentity:
         with pytest.raises(ValidationError):
             even_subset_volume(np.full(21, 0.5))
 
+    @pytest.mark.parametrize("a", [[2.0, -1.0], [math.nan], []],
+                             ids=["outside", "nan", "empty"])
+    def test_refuses_anchor_outside_the_cube(self, a):
+        # unchecked, these gave -4.0, nan and 1.0
+        with pytest.raises(ValidationError, match=r"must be finite and lie in \[0, 1\]\^d"):
+            even_subset_volume(a)
+
 
 class TestMcSquaredDiscrepancy:
     def test_star_origin(self):
