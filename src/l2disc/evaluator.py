@@ -34,7 +34,7 @@ from .core import (
     check_unit_cube,
     reflect,
 )
-from .kernels import KernelSpec, b_rows, c_cross, factor_tiles, kernel_spec
+from .kernels import KernelSpec, b_rows, c_cross, kernel_spec, mirrored
 
 __all__ = [
     "squared_value",
@@ -220,7 +220,6 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
         )
     coords = _checked_coords(spec, coords)
     n, d = coords.shape
-    fill, mirrored = factor_tiles(spec)
     grad = np.full((n, d), -0.0)
     cells = _partial_cells(1, n)[0]
 
@@ -232,16 +231,20 @@ def value_and_gradient(spec: KernelSpec, coords: np.ndarray) -> tuple[float, np.
     # views.  -0.0 + x is x for every x, zeros included, so each row adds
     # every partial alike, in segment order.
     right = np.ascontiguousarray(coords.T)[:, None, :]
+    axes = np.arange(d)[:, None, None]
     # (d, m, k) tile arrays, one allocation each: the factors, their
     # derivatives, the leave-one-out products (x - z first) and the mirrors
     m = min(n, _SEGMENT)
-    bufs = [np.empty((d, m * m)) for _ in range(4 if mirrored and n > m else 3)]
+    bufs = [np.empty((d, m * m)) for _ in range(4 if mirrored(spec) and n > m else 3)]
     for p, (i0, i1, k0, k1) in enumerate(_segment_pairs(n)):
         upper = k0 > i0
         cs, dcs, work, *ms = [b[:, :(i1 - i0) * (k1 - k0)].reshape(d, i1 - i0, k1 - k0)
                               for b in bufs]
         ms = ms[0] if upper and ms else None
-        fill(coords[i0:i1].T[:, :, None], right[:, :, k0:k1], cs, dcs, ms, work)
+        # dcs is C's scratch until dC is written, and work dC's once it is read
+        x, z = coords[i0:i1].T[:, :, None], right[:, :, k0:k1]
+        spec.c_col(x, z, axes, np.subtract(x, z, out=work), cs, dcs)
+        spec.c_dx_col(x, z, axes, work, dcs, work, ms)
         for j, exc in enumerate(_leave_one_out(list(cs), list(work))):
             dcs[j] *= exc
             grad[i0:i1, j] += dcs[j].sum(axis=1)

@@ -114,7 +114,7 @@ def _c_per(x, z, t=None, out=None, tmp=None):
     return np.add(c, np.multiply(t, t, out=tmp), out=into)
 
 
-def _dc_per(x, z, t, out=None, tmp=None):
+def _dc_per(x, z, t, out=None, tmp=None, mirror=None):
     # -sign(t) + 2t
     return np.subtract(np.multiply(t, 2.0, out=out), np.sign(t, out=tmp), out=out)
 
@@ -145,7 +145,7 @@ def _dc_ctr(x, z, t, out=None, tmp=None, mirror=None):
     return np.multiply(np.subtract(np.sign(x - 0.5), s, out=out), 0.5, out=out)
 
 
-def _c_cad(x, z):
+def _c_cad(x, z, t=None, out=None, tmp=None):
     # Factor for the discontinuous centered variant: zero unless both
     # arguments sit on the same side of 1/2 (ties at 1/2 count as the
     # upper side), else the smaller distance to that shared side.
@@ -153,7 +153,7 @@ def _c_cad(x, z):
     vz = z >= 0.5
     ax = np.where(vx, 1.0 - x, x)
     az = np.where(vz, 1.0 - z, z)
-    return (vx == vz) * np.minimum(ax, az)
+    return np.multiply(vx == vz, np.minimum(ax, az), out=out)
 
 
 def _c_sym(x, z, t=None, out=None, tmp=None):
@@ -164,7 +164,7 @@ def _c_sym(x, z, t=None, out=None, tmp=None):
     return np.multiply(c, 0.25, out=into)
 
 
-def _dc_sym(x, z, t, out=None, tmp=None):
+def _dc_sym(x, z, t, out=None, tmp=None, mirror=None):
     return np.multiply(-0.5, np.sign(t, out=out), out=out)
 
 
@@ -219,12 +219,13 @@ def _zero(x):
 # 1/2, so it has no dC/dx and no gradient.  C and dC/dx are ufunc chains,
 # in the order of their formulas (a product by 1/2 or 1/4 has the bits of
 # the quotient by 2 or 4, and is faster), over the difference t = x - z (formed from
-# x and z when not given).  With out=None they return new arrays (c_col,
-# c_dx_col); given arrays, they write into them (the evaluator's factor
-# tiles), with the same bits.  C(x, z, t, out, tmp) may use tmp as scratch;
-# dC/dx(x, z, t, out, tmp, mirror) may write the sign of t over tmp once it
-# has read t, and from the same sign writes the mirrored derivative
-# dC(z, x)/dx into `mirror`.
+# x and z when not given).  They are the single definition behind a spec's
+# c_col and c_dx_col, which pass their t, out, tmp and mirror on: with
+# out=None they return new arrays; given arrays (the evaluator's factor
+# tiles), they write into them, with the same bits.  C(x, z, t, out, tmp)
+# may use tmp as scratch; dC/dx(x, z, t, out, tmp, mirror) may write the
+# sign of t over tmp once it has read t, and from the same sign writes the
+# mirrored derivative dC(z, x)/dx into `mirror`, unless dC/dx is odd.
 _PLAIN = {
     MeasureId.STAR: (_b_star, _db_star, _c_star, _dc_star, lambda d: 3.0 ** -d),
     MeasureId.EXT: (_b_ext, _db_ext, _c_ext, _dc_ext, lambda d: 12.0 ** -d),
@@ -245,13 +246,25 @@ _GEOMETRIC = frozenset(_PLAIN) - {MeasureId.MIX}
 _ODD_DERIVATIVE = frozenset({MeasureId.PER, MeasureId.SYM, MeasureId.ASD})
 
 
+def mirrored(spec: "KernelSpec") -> bool:
+    """Whether spec.c_dx_col writes the mirrored derivative dC(z, x)/dx into
+    a given ``mirror``; False for an odd derivative, whose mirror is -dC."""
+    return _base_measure(spec.measure) not in _ODD_DERIVATIVE
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A fully resolved kernel triple for one measure in one dimension count.
 
-    The factor callables take the coordinate index ``j`` as their last
-    argument; unweighted measures ignore it, weighted ones use it to pick
-    gamma_j.  All callables broadcast over numpy arrays, an index array j too.
+    The factor callables are ``b_col(x, j)``, ``b_prime_col(x, j)``,
+    ``c_col(x, z, j, t=None, out=None, tmp=None)`` and ``c_dx_col(x, z, j,
+    t=None, out=None, tmp=None, mirror=None)``, with ``j`` the coordinate
+    index: unweighted measures ignore it, weighted ones use it to pick
+    gamma_j.  All callables broadcast over numpy arrays, an index array j
+    too.  The C columns take the difference ``t = x - z`` when it is already
+    formed, and write into ``out`` (with ``tmp`` as scratch) when given, with
+    the bits of a new array; ``c_dx_col`` also writes dC(z, x)/dx into
+    ``mirror`` where `mirrored` says so.
 
     ``eb``, ``ec_uv`` and ``ec_uu`` are scalars for unweighted measures and
     length-d arrays for the weighted ones; ``eb`` is 0.0 for ``per``, whose
@@ -420,67 +433,35 @@ def _base_measure(measure: MeasureId) -> MeasureId:
     return MeasureId(measure.value.removesuffix("_weighted"))
 
 
-def _weighted(g, c, out=None):
-    """The product-weight transform C -> 1 + g C, into ``out`` if given."""
-    return np.add(1.0, np.multiply(g, c, out=out), out=out)
+def _factor_columns(measure: MeasureId, g: Optional[np.ndarray]):
+    """(b_col, b_prime_col, c_col, c_dx_col) taking the coordinate index j;
+    c_dx_col is None where the measure has no dC/dx.
 
-
-def _factor_columns(measure: MeasureId, gamma: Optional[np.ndarray]):
-    """(b_col, b_prime_col, c_col, c_dx_col) taking the coordinate index j.
-
-    With ``gamma`` the factors of the base measure get the product-weight
-    transform B -> 1 + g_j B, B' -> g_j B', C -> 1 + g_j C, dC -> g_j dC.
+    With weights ``g`` the factors of the base measure get the product-weight
+    transform B -> 1 + g_j B, B' -> g_j B', C -> 1 + g_j C, dC -> g_j dC
+    (and the mirror -> g_j mirror), written into ``out`` when it is given.
     """
     b, db, c, dc = _PLAIN[measure][:4]
-    if gamma is None:
-        return (
-            lambda x, j: b(x),
-            lambda x, j: db(x),
-            lambda x, z, j: c(x, z),
-            None if dc is None else (lambda x, z, j: dc(x, z, x - z)),
-        )
-    g = gamma
-    return (
-        lambda x, j: 1.0 + g[j] * b(x),
-        lambda x, j: g[j] * db(x),
-        lambda x, z, j: _weighted(g[j], c(x, z)),
-        lambda x, z, j: g[j] * dc(x, z, x - z),
-    )
 
+    def b_col(x, j):
+        return b(x) if g is None else 1.0 + g[j] * b(x)
 
-def factor_tiles(spec: KernelSpec):
-    """(fill, mirrored): the fused per-coordinate factors of a continuous spec.
+    def b_prime_col(x, j):
+        return db(x) if g is None else g[j] * db(x)
 
-    ``fill(x, z, c, dc, mirror, t)`` takes the (d, m, 1) columns x and
-    (d, 1, k) rows z of all d coordinates and (d, m, k) arrays.  It writes
-    x - z into t, then C_j(x, z) into c, dC_j/dx(x, z) into dc and, unless
-    mirror is None, dC_j(z, x)/dx into mirror; t ends as scratch.  Entry j of
-    each has the bits of c_col(x_j, z_j, j), c_dx_col(x_j, z_j, j) and
-    c_dx_col(z_j, x_j, j).  ``mirrored`` is False for an odd derivative,
-    whose mirror is -dC exactly and is never written.  Weighted measures get
-    1 + g_j C and g_j dC in place.
-    """
-    g = spec.gamma
-    base = spec.measure if g is None else _base_measure(spec.measure)
-    c_of, dc_of = _PLAIN[base][2:4]
-    mirrored = base not in _ODD_DERIVATIVE
-    g = None if g is None else g[:, None, None]
+    def c_col(x, z, j, t=None, out=None, tmp=None):
+        col = c(x, z, t, out, tmp)
+        return col if g is None else np.add(1.0, np.multiply(g[j], col, out=out), out=out)
 
-    def fill(x, z, c, dc, mirror, t):
-        # dc is C's scratch until dC is written, and t dC's once it is read
-        np.subtract(x, z, out=t)
-        c_of(x, z, t, c, dc)
-        if mirror is None:
-            dc_of(x, z, t, dc, t)
-        else:
-            dc_of(x, z, t, dc, t, mirror)
-        if g is not None:
-            _weighted(g, c, out=c)
-            np.multiply(g, dc, out=dc)
-            if mirror is not None:
-                np.multiply(g, mirror, out=mirror)
+    def c_dx_col(x, z, j, t=None, out=None, tmp=None, mirror=None):
+        col = dc(x, z, x - z if t is None else t, out, tmp, mirror)
+        if g is None:
+            return col
+        if mirror is not None:
+            np.multiply(g[j], mirror, out=mirror)
+        return np.multiply(g[j], col, out=out)
 
-    return fill, mirrored
+    return b_col, b_prime_col, c_col, None if dc is None else c_dx_col
 
 
 def kernel_spec(

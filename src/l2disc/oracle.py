@@ -191,8 +191,9 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
     aa = np.asarray(a, dtype=np.float64).reshape(1, -1)
     if xa.shape != aa.shape:
         raise ValidationError("point and anchor must share a dimension count")
-    if _outside_cube(xa) or _outside_cube(aa):
-        raise ValidationError("point and anchors must be finite and lie in [0, 1]^d")
+    if xa.shape[1] == 0 or _outside_cube(xa) or _outside_cube(aa):
+        raise ValidationError(
+            "point and anchors must be finite and lie in [0, 1]^d with d >= 1")
     if measure in _NEEDS_SECOND_ANCHOR:
         if b is None:
             raise ValidationError(f"measure {measure} needs a second anchor b")
@@ -214,7 +215,10 @@ def local_discrepancy(points: PointSet, inside: np.ndarray, volume: float) -> fl
         raise ValidationError(
             f"membership vector has {inside.size} entries for {points.n} points"
         )
-    return float(inside.sum()) / points.n - float(volume)
+    volume = float(volume)
+    if not 0.0 <= volume <= 1.0:
+        raise ValidationError(f"volume must be finite and lie in [0, 1], got {volume!r}")
+    return float(inside.sum()) / points.n - volume
 
 
 def mc_squared_discrepancy(

@@ -173,6 +173,7 @@ def anchor_point(measure: MeasureId, d: int) -> np.ndarray:
     representative (the all-ones vertex, resp. the center); the value is
     location-independent for those measures, which the tests assert.
     """
+    d = check_count("d", d, 1)
     if anchor_description(measure).endswith("vertex"):
         return np.ones(d)
     return np.full(d, 0.5)
@@ -199,6 +200,7 @@ def single_point_value(measure, d: int, anchor, *, gamma=None) -> float:
     A - 2 prod_j B_j(p) + prod_j C_j(p, p), independent of n, so the
     value is computed from a single-point set.
     """
+    d = check_count("d", d, 1)
     spec = _spec_for(measure, d, gamma)
     p = np.asarray(anchor, dtype=float).reshape(1, -1)
     if p.shape[1] != d:
@@ -216,7 +218,7 @@ def _constant_products(spec: KernelSpec) -> float:
 
 def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
     """E[D^2] for n IID uniform points, from the stored constants."""
-    n = check_count("n", n, 1)
+    n, d = check_count("n", n, 1), check_count("d", d, 1)
     return _constant_products(_spec_for(measure, d, gamma)) / n
 
 
@@ -255,7 +257,7 @@ def iid_threshold(measure, d: int, *, gamma=None) -> float:
     numerator over the replicated anchor's value.  Returns +inf if the
     replicated anchor is never beaten (does not occur here).
     """
-    return _crossover(measure, d, gamma)[2]
+    return _crossover(measure, check_count("d", d, 1), gamma)[2]
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +272,7 @@ def check_asd_superiority(d: int, n: int) -> bool:
     where both sides equal 1/12 (the comparison there sits at rounding
     noise), and holds strictly everywhere else.
     """
-    n = check_count("n", n, 1)
+    d, n = check_count("d", d, 1), check_count("n", n, 1)
     j, single, _ = _asd_crossover(d)
     return j / n < single
 
@@ -290,6 +292,7 @@ def _flag(computed: float, form: Optional[Callable[[int], float]], d: int) -> st
 def pathology_row(measure, d: int) -> PathologyRow:
     """Computed row plus per-column comparison against the published table."""
     measure = MeasureId.parse(measure)
+    d = check_count("d", d, 1)
     ref = reference_row(measure)
     n_e, single, threshold = _crossover(measure, d, None)
     expected_match = _flag(n_e, ref.n_times_expected, d)

@@ -16,7 +16,7 @@ from l2disc import (
     kernel_spec,
     mc_squared_discrepancy,
 )
-from l2disc.kernels import c_cross, factor_tiles
+from l2disc.kernels import c_cross, mirrored
 
 UNWEIGHTED = [
     MeasureId.STAR,
@@ -223,8 +223,9 @@ class TestKernelSymmetry:
 
 class TestFactorTiles:
     # value_and_gradient takes C, dC/dx and the mirrored dC(z, x)/dx of all
-    # coordinates from one difference x - z, written into reused arrays;
-    # each must keep the bits of c_col and c_dx_col, on the ties x == z and
+    # coordinates from one difference x - z, written by c_col and c_dx_col
+    # into reused arrays with an axis-index array j; each must keep the bits
+    # of the per-axis calls that return new arrays, on the ties x == z and
     # the kinks at 0, 1/2 and 1 of the subgradient conventions too
     @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.continuous] + [
         kernel_spec("ctr_weighted", 3, gamma=[0.3, 1.7, 4.9]),
@@ -236,22 +237,25 @@ class TestFactorTiles:
         cols = np.vstack([rng.random((60, spec.d)),
                           np.repeat(kinks[:, None], spec.d, axis=1)]).T
         x, z = cols[:, :, None], cols[:, None, :]
-        fill, mirrored = factor_tiles(spec)
+        axes = np.arange(spec.d)[:, None, None]
         c, dc, mirror, t = np.full((4, spec.d) + (cols.shape[1],) * 2, np.nan)
-        fill(x, z, c, dc, mirror if mirrored else None, t)
+        writes_mirror = mirrored(spec)
+        # dc is C's scratch until dC is written, and t dC's once it is read
+        assert spec.c_col(x, z, axes, np.subtract(x, z, out=t), c, dc) is c
+        assert spec.c_dx_col(x, z, axes, t, dc, t, mirror if writes_mirror else None) is dc
         bits = lambda a: np.asarray(a).view(np.uint64)
         for j in range(spec.d):
             np.testing.assert_array_equal(bits(c[j]), bits(spec.c_col(x[j], z[j], j)))
             np.testing.assert_array_equal(bits(dc[j]), bits(spec.c_dx_col(x[j], z[j], j)))
             swapped = spec.c_dx_col(z[j], x[j], j)
-            if mirrored:
+            if writes_mirror:
                 np.testing.assert_array_equal(bits(mirror[j]), bits(swapped))
             else:
                 # an odd derivative: -dC, equal as numbers (the sign of a
                 # zero on the tie may differ)
                 np.testing.assert_array_equal(-dc[j], swapped)
-        assert mirrored == (spec.measure.value.removesuffix("_weighted")
-                            not in ("per", "sym", "asd"))
+        assert writes_mirror == (spec.measure.value.removesuffix("_weighted")
+                                 not in ("per", "sym", "asd"))
 
 
 class TestAxisArrays:
@@ -267,9 +271,12 @@ class TestAxisArrays:
         axes = np.arange(spec.d)
         c = spec.c_col(x, z, axes[:, None, None])
         b = spec.b_col(x[..., 0], axes[:, None])
+        dc = spec.c_dx_col(x, z, axes[:, None, None]) if spec.continuous else None
         for j in range(spec.d):
             np.testing.assert_array_equal(c[j], spec.c_col(x[j], z[j], j))
             np.testing.assert_array_equal(b[j], spec.b_col(x[j, :, 0], j))
+            if dc is not None:
+                np.testing.assert_array_equal(dc[j], spec.c_dx_col(x[j], z[j], j))
 
 
 class TestContinuityNearKinks:

@@ -82,6 +82,12 @@ class TestLocalDiscrepancy:
         with pytest.raises(ValidationError):
             local_discrepancy(PointSet([[0.5]]), [True, False], 0.5)
 
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, 7.0, -0.25])
+    def test_volume_outside_the_unit_interval_is_refused(self, volume):
+        # unchecked, nan gave nan and 7.0 gave -6.75
+        with pytest.raises(ValidationError, match=r"volume must be finite and lie in \[0, 1\]"):
+            local_discrepancy(PointSet([[0.5]]), [True], volume)
+
 
 class TestBoxMembership:
     def test_star(self):
@@ -102,6 +108,13 @@ class TestBoxMembership:
     def test_point_and_anchor_must_share_d(self):
         with pytest.raises(ValidationError, match="share a dimension count"):
             box_membership("star", (0.3, 0.3), (0.5,))
+
+    @pytest.mark.parametrize("measure,args", [("star", ([], [])), ("ext", ([], [], []))],
+                             ids=["star", "ext"])
+    def test_zero_dimensional_point_is_refused(self, measure, args):
+        # unchecked, star gave (True, 1.0) for the empty product
+        with pytest.raises(ValidationError, match="d >= 1"):
+            box_membership(measure, *args)
 
     def test_ext_rejected_pair(self):
         inside, volume = box_membership("ext", [0.5], [0.8], [0.2])

@@ -286,6 +286,27 @@ class TestAnchorIndependence:
             )
 
 
+class TestDimensionIsChecked:
+    # the (measure, d) caches key 2.0 and True as 2 and 1, so d is checked
+    # before any cache lookup, warm or cold
+    CALLS = {
+        "single_point_value": lambda d: single_point_value("star", d, [0.5] * int(d)),
+        "expected_iid_squared": lambda d: expected_iid_squared("star", 4, d),
+        "iid_threshold": lambda d: iid_threshold("star", d),
+        "pathology_row": lambda d: pathology_row("star", d),
+        "check_asd_superiority": lambda d: check_asd_superiority(d, 3),
+        "anchor_point": lambda d: anchor_point("star", d),
+    }
+
+    @pytest.mark.parametrize("d", [2.0, True, 0], ids=repr)
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_non_count_d_is_refused_with_a_warm_cache(self, name, d):
+        call = self.CALLS[name]
+        call(1), call(2)
+        with pytest.raises(ValidationError, match="d must be an integer"):
+            call(d)
+
+
 class TestRuntimeBudget:
     def test_full_sweep_is_fast(self):
         import time
