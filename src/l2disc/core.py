@@ -162,6 +162,19 @@ def check_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_point(name: str, p, d: "int | None" = None) -> np.ndarray:
+    """p as a single point: a float64 vector in [0, 1]^d, d >= 1 (the given d, if any)."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a single point, got shape {arr.shape}")
+    if d is not None and arr.size != d:
+        raise ValidationError(f"{name} must share a dimension count d={d}, got {arr.size}")
+    # the comparisons are False for NaN, so a NaN coordinate is outside
+    if not arr.size or not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{name} must be finite and lie in [0, 1]^d with d >= 1")
+    return arr
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered multiset of ``n`` points in the closed unit cube [0,1]^d.
@@ -275,10 +288,6 @@ def nearest_vertex(a: Sequence[float] | np.ndarray) -> np.ndarray:
     """Map a point of [0,1]^d to the nearest cube vertex in {0,1}^d.
 
     Ties at 1/2 resolve upward: component j is 1 exactly when ``a[j] >= 1/2``.
+    A 2-d array is refused: it is not a single point.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError("expected a single point as a 1-d vector")
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValidationError("point must lie in [0, 1]^d")
-    return (arr >= 0.5).astype(np.int64)
+    return (check_point("point a", a) >= 0.5).astype(np.int64)

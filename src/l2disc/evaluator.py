@@ -31,6 +31,7 @@ from .core import (
     PointSet,
     SquaredDiscrepancy,
     ValidationError,
+    check_point,
     check_unit_cube,
     reflect,
 )
@@ -105,10 +106,8 @@ def _values(spec: KernelSpec, sets: np.ndarray) -> list[float]:
         # one tile holds as many small sets as fit in _SUM_BLOCK floats
         group = min(r, max(1, _SUM_BLOCK // ((i1 - i0) * (k1 - k0))))
         for s0 in range(0, r, group):
-            # a lone set is indexed, not sliced: 2-D broadcasts cost numpy less
-            at = s0 if group == 1 else slice(s0, s0 + group)
-            part = sets[at]
-            out = cells[at, p, :i1 - i0]
+            part = sets[s0:s0 + group]
+            out = cells[s0:s0 + group, p, :i1 - i0]
             c_cross(spec, part[..., i0:i1, :], part[..., k0:k1, :]).sum(axis=-1, out=out)
             # each later segment stands for its mirror image too
             if k0 > i0:
@@ -290,10 +289,11 @@ def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:
     Adding the constant that collects all terms not involving y and
     dividing by (n+1) recovers the full squared discrepancy of the extended
     set, so the argmin over y of F equals the argmin of the extended
-    discrepancy — a relation the tests verify pointwise.
+    discrepancy — a relation the tests verify pointwise.  ``y`` is a single
+    point: a 2-d array is refused.
     """
     coords = _checked_coords(spec, points.coords)
-    ypt = _checked_coords(spec, np.reshape(y, (1, -1)))
+    ypt = check_point("candidate y", y, spec.d)[None]
     bprod = float(b_rows(spec, ypt)[0])
     cross = float(c_cross(spec, coords, ypt).sum())
     selfprod = float(c_cross(spec, ypt, ypt)[0, 0])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PointSet, ValidationError, check_count, check_seed
+from .core import PointSet, ValidationError, check_count, check_point, check_seed
 
 __all__ = [
     "DirectionNumbers",
@@ -180,10 +180,10 @@ def iid_uniform(n: int, d: int, seed: int) -> PointSet:
 
 
 def replicated_point(p, n: int) -> PointSet:
-    """n copies of a single point (degenerate designs used by diagnostics)."""
+    """n copies of a single point (degenerate designs used by diagnostics);
+    a 2-d array is refused, not flattened into one point."""
     n = check_count("n", n, 1)
-    arr = np.asarray(p, dtype=np.float64).reshape(1, -1)
-    return PointSet(np.repeat(arr, n, axis=0))
+    return PointSet(np.repeat(check_point("point p", p)[None], n, axis=0))
 
 
 def fibonacci_lattice(n: int) -> PointSet:

@@ -23,9 +23,10 @@ A KernelSpec also carries the expectation constants
     ECuv = E[C(u, v)]       u, v independent uniform
     ECuu = E[C(u, u)]
 
-precomputed at construction by composite Gauss-Legendre quadrature with
-panels split along the kink lines x = 1/2, z = 1/2 and x = z (the kernels
-are piecewise polynomial, so the panel quadrature is exact to rounding).
+precomputed by composite Gauss-Legendre quadrature with panels split along
+the kink lines x = 1/2, z = 1/2 and x = z (the kernels are piecewise
+polynomial, so the panel quadrature is exact to rounding), once per measure
+for the unweighted ones, whose constants do not depend on d.
 These constants drive the expected squared discrepancy of IID sampling, and
 they satisfy ``A - 2*EB^d + ECuv^d = 0`` for every measure — the constant
 part of that expectation cancels exactly, which tests verify.
@@ -268,7 +269,9 @@ class KernelSpec:
 
     ``eb``, ``ec_uv`` and ``ec_uu`` are scalars for unweighted measures and
     length-d arrays for the weighted ones; ``eb`` is 0.0 for ``per``, whose
-    B is identically zero.  They are filled by quadrature at construction.
+    B is identically zero.  An unweighted measure's constants do not depend
+    on d: they are computed by quadrature once per measure and shared by its
+    specs; a weighted spec's are computed per axis at construction.
     """
 
     measure: MeasureId
@@ -411,8 +414,10 @@ def expectation_constants(spec: KernelSpec):
 
     Returns scalars for unweighted measures and length-d arrays for the
     weighted ones; E[B(u)] is 0.0 for ``per``, whose B is identically zero.
-    The same routine fills the constants stored on the spec at construction;
-    calling it again is the independent route used by verification tests.
+    The same routine fills a weighted spec's constants at construction; an
+    unweighted measure's are computed once per measure, by the same
+    quadrature call, so they carry the same bits.  Calling it again is the
+    independent route used by verification tests.
     """
     if spec.gamma is None:
         return _constants_for(spec.b_col, spec.c_col, 0)
@@ -462,6 +467,13 @@ def _factor_columns(measure: MeasureId, g: Optional[np.ndarray]):
         return np.multiply(g[j], col, out=out)
 
     return b_col, b_prime_col, c_col, None if dc is None else c_dx_col
+
+
+@cache
+def _plain_constants(measure: MeasureId) -> tuple[float, float, float]:
+    """(E[B], E[C(u,v)], E[C(u,u)]) of an unweighted measure, for every d."""
+    b_col, _, c_col, _ = _factor_columns(measure, None)
+    return _constants_for(b_col, c_col, 0)
 
 
 def kernel_spec(
@@ -518,5 +530,5 @@ def kernel_spec(
         c_col=c_col,
         c_dx_col=c_dx_col,
     )
-    eb, ec_uv, ec_uu = expectation_constants(spec)
+    eb, ec_uv, ec_uu = _plain_constants(measure) if g is None else expectation_constants(spec)
     return replace(spec, eb=eb, ec_uv=ec_uv, ec_uu=ec_uu)

@@ -60,6 +60,7 @@ from .core import (
     PointSet,
     ValidationError,
     check_count,
+    check_point,
     check_seed,
 )
 from .evaluator import _values
@@ -172,11 +173,6 @@ def _estimate(draw, count: int, chunk: int, seed: int) -> OracleEstimate:
                           samples=count, seed=seed)
 
 
-def _outside_cube(arr) -> bool:
-    # the comparisons are False for NaN, so a NaN coordinate is outside
-    return not np.all((arr >= 0.0) & (arr <= 1.0))
-
-
 def box_membership(measure: "MeasureId | str", x, a, b=None):
     """Membership of a single point in one test region, with its volume.
 
@@ -184,33 +180,30 @@ def box_membership(measure: "MeasureId | str", x, a, b=None):
     two-anchor measures (ext, per, asd) and rejected otherwise.  For ext an
     inverted anchor pair (some a_j > b_j) is a rejected draw: membership
     is False and the volume is 0, mirroring the indicator inside the
-    closed-form integral.
+    closed-form integral.  x, a and b are single points: a 2-d array is
+    refused.
     """
     measure = _require_geometric(measure)
-    xa = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    aa = np.asarray(a, dtype=np.float64).reshape(1, -1)
-    if xa.shape != aa.shape:
-        raise ValidationError("point and anchor must share a dimension count")
-    if xa.shape[1] == 0 or _outside_cube(xa) or _outside_cube(aa):
-        raise ValidationError(
-            "point and anchors must be finite and lie in [0, 1]^d with d >= 1")
-    if measure in _NEEDS_SECOND_ANCHOR:
-        if b is None:
-            raise ValidationError(f"measure {measure} needs a second anchor b")
-        ba = np.asarray(b, dtype=np.float64).reshape(1, -1)
-        if ba.shape != aa.shape or _outside_cube(ba):
-            raise ValidationError("second anchor must lie in [0, 1]^d and match d")
-    else:
-        if b is not None:
-            raise ValidationError(f"measure {measure} takes a single anchor")
-        ba = None
-    counts, volume = _region_counts(measure, xa, aa, ba)
+    xa = check_point("point x", x)[None]
+    aa = check_point("anchor a", a, xa.shape[1])[None]
+    if b is None and measure in _NEEDS_SECOND_ANCHOR:
+        raise ValidationError(f"measure {measure} needs a second anchor b")
+    if b is not None and measure not in _NEEDS_SECOND_ANCHOR:
+        raise ValidationError(f"measure {measure} takes a single anchor")
+    if b is not None:
+        b = check_point("second anchor b", b, xa.shape[1])[None]
+    counts, volume = _region_counts(measure, xa, aa, b)
     return bool(counts[0]), float(volume[0])
 
 
 def local_discrepancy(points: PointSet, inside: np.ndarray, volume: float) -> float:
-    """Signed local discrepancy: covered fraction minus region volume."""
-    inside = np.asarray(inside, dtype=bool).reshape(-1)
+    """Signed local discrepancy: covered fraction minus region volume.
+
+    ``inside`` holds one membership per point, boolean or 0/1.
+    """
+    inside = np.asarray(inside).reshape(-1)
+    if not np.isin(inside, (0, 1)).all():
+        raise ValidationError("membership vector must be boolean or 0/1")
     if inside.size != points.n:
         raise ValidationError(
             f"membership vector has {inside.size} entries for {points.n} points"
@@ -279,11 +272,10 @@ def even_subset_volume(a) -> float:
     Sums, over every even-size subset S of coordinates, the volume of the
     cell {x : x_j >= a_j exactly for j in S}.  Exponential in d; exists as
     the independent check of the closed-form volume used by the sym oracle.
+    ``a`` is a single point: a 2-d array is refused.
     """
-    arr = np.asarray(a, dtype=np.float64).reshape(-1)
+    arr = check_point("anchor a", a)
     d = arr.size
-    if d == 0 or _outside_cube(arr):
-        raise ValidationError("anchor must be finite and lie in [0, 1]^d with d >= 1")
     if d > 20:
         raise ValidationError("subset summation is exponential in d; d > 20 refused")
     total = 0.0

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MeasureId, PointSet, ValidationError, check_count
+from .core import MeasureId, PointSet, ValidationError, check_count, check_point
 from .evaluator import squared_discrepancy
 from .kernels import KernelSpec, kernel_spec
 
@@ -179,34 +179,17 @@ def anchor_point(measure: MeasureId, d: int) -> np.ndarray:
     return np.full(d, 0.5)
 
 
-@lru_cache(maxsize=None)
-def _unweighted_spec(measure: MeasureId, d: int) -> KernelSpec:
-    # KernelSpec is frozen; sharing one instance per (measure, d) keeps
-    # the table and threshold sweeps out of the quadrature path.
-    return kernel_spec(measure, d)
-
-
-def _spec_for(measure, d: int, gamma) -> KernelSpec:
-    measure = MeasureId.parse(measure)
-    if gamma is None and not measure.weighted:
-        return _unweighted_spec(measure, d)
-    return kernel_spec(measure, d, gamma)
-
-
 def single_point_value(measure, d: int, anchor, *, gamma=None) -> float:
     """Squared discrepancy of n identical copies of ``anchor``, any n.
 
     With all points coincident the closed form collapses to
     A - 2 prod_j B_j(p) + prod_j C_j(p, p), independent of n, so the
-    value is computed from a single-point set.
+    value is computed from a single-point set.  ``anchor`` is a single
+    point: a 2-d array is refused.
     """
-    d = check_count("d", d, 1)
-    spec = _spec_for(measure, d, gamma)
-    p = np.asarray(anchor, dtype=float).reshape(1, -1)
-    if p.shape[1] != d:
-        raise ValidationError(
-            f"anchor has {p.shape[1]} coordinates, expected d={d}")
-    return squared_discrepancy(spec, PointSet(p)).value
+    spec = kernel_spec(measure, d, gamma)
+    anchor = check_point("anchor", anchor, spec.d)
+    return squared_discrepancy(spec, PointSet(anchor[None])).value
 
 
 def _constant_products(spec: KernelSpec) -> float:
@@ -218,18 +201,17 @@ def _constant_products(spec: KernelSpec) -> float:
 
 def expected_iid_squared(measure, n: int, d: int, *, gamma=None) -> float:
     """E[D^2] for n IID uniform points, from the stored constants."""
-    n, d = check_count("n", n, 1), check_count("d", d, 1)
-    return _constant_products(_spec_for(measure, d, gamma)) / n
+    n = check_count("n", n, 1)
+    return _constant_products(kernel_spec(measure, d, gamma)) / n
 
 
-def _crossover(measure, d: int, gamma) -> tuple[float, float, float]:
+def _crossover(spec: KernelSpec) -> tuple[float, float, float]:
     """(J, single, t): n*E[D^2] of IID points, the replicated anchor's
     value, and the crossover t = J / single (+inf if single <= 0), taken
     for an unweighted measure from `_scaled_crossover`."""
-    spec = _spec_for(measure, d, gamma)
-    anchor = anchor_point(measure, d)
+    anchor = anchor_point(spec.measure, spec.d)
     j = _constant_products(spec)
-    single = single_point_value(measure, d, anchor, gamma=gamma)
+    single = single_point_value(spec.measure, spec.d, anchor, gamma=spec.gamma)
     num, den = (j, single) if spec.gamma is not None else _scaled_crossover(spec, anchor[0])
     return j, single, (num / den if den > 0.0 else math.inf)
 
@@ -241,7 +223,7 @@ def _scaled_crossover(spec: KernelSpec, p: float) -> tuple[float, float]:
     divided by the largest magnitude m before its power is taken, so the
     ratio stays finite where J and single leave float range (12^-d is 0.0
     from d = 300)."""
-    a1 = _unweighted_spec(spec.measure, 1).a
+    a1 = kernel_spec(spec.measure, 1).a
     b, c = float(spec.b_col(p, 0)), float(spec.c_col(p, p, 0))
     consts = (spec.ec_uu, spec.ec_uv, a1, b, c)
     m = max(abs(x) for x in consts)
@@ -257,12 +239,12 @@ def iid_threshold(measure, d: int, *, gamma=None) -> float:
     numerator over the replicated anchor's value.  Returns +inf if the
     replicated anchor is never beaten (does not occur here).
     """
-    return _crossover(measure, check_count("d", d, 1), gamma)[2]
+    return _crossover(kernel_spec(measure, d, gamma))[2]
 
 
 @lru_cache(maxsize=None)
 def _asd_crossover(d: int) -> tuple[float, float, float]:
-    return _crossover(MeasureId.ASD, d, None)
+    return _crossover(kernel_spec(MeasureId.ASD, d))
 
 
 def check_asd_superiority(d: int, n: int) -> bool:
@@ -291,10 +273,10 @@ def _flag(computed: float, form: Optional[Callable[[int], float]], d: int) -> st
 
 def pathology_row(measure, d: int) -> PathologyRow:
     """Computed row plus per-column comparison against the published table."""
-    measure = MeasureId.parse(measure)
-    d = check_count("d", d, 1)
     ref = reference_row(measure)
-    n_e, single, threshold = _crossover(measure, d, None)
+    spec = kernel_spec(measure, d)
+    measure, d = spec.measure, spec.d
+    n_e, single, threshold = _crossover(spec)
     expected_match = _flag(n_e, ref.n_times_expected, d)
     single_match = _flag(single, ref.single_value, d)
     threshold_match = _flag(threshold, ref.threshold, d)

@@ -14,8 +14,14 @@ from l2disc import (
     SquaredDiscrepancy,
     ValidationError,
     WeightVector,
+    box_membership,
+    even_subset_volume,
+    greedy_contribution,
+    kernel_spec,
     nearest_vertex,
     reflect,
+    replicated_point,
+    single_point_value,
 )
 from l2disc.core import EPS_NUM
 
@@ -174,3 +180,27 @@ class TestNearestVertex:
     def test_rejects_a_set_of_points(self):
         with pytest.raises(ValidationError, match="single point"):
             nearest_vertex([[0.1, 0.9], [0.6, 0.4]])
+
+
+class TestSinglePointReaders:
+    # every public function that takes one point reads it as one; a 2-d
+    # array was flattened into one point of 4 coordinates by all but
+    # nearest_vertex
+    TWO = [[0.1, 0.2], [0.3, 0.4]]
+    CALLS = {
+        "nearest_vertex": lambda p: nearest_vertex(p),
+        "box_membership_x": lambda p: box_membership("ext", p, [0.5] * 4, [0.6] * 4),
+        "box_membership_a": lambda p: box_membership("ext", [0.5] * 4, p, [0.6] * 4),
+        "box_membership_b": lambda p: box_membership("ext", [0.5] * 4, [0.4] * 4, p),
+        "even_subset_volume": lambda p: even_subset_volume(p),
+        "single_point_value": lambda p: single_point_value("star", 4, p),
+        "greedy_contribution": lambda p: greedy_contribution(
+            kernel_spec("star", 4), PointSet([[0.5] * 4]), p),
+        "replicated_point": lambda p: replicated_point(p, 2),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_2d_array_is_refused(self, name):
+        self.CALLS[name](np.ravel(self.TWO))  # the flattened point is valid
+        with pytest.raises(ValidationError, match="single point"):
+            self.CALLS[name](self.TWO)

@@ -140,6 +140,16 @@ class TestValidation:
 
 
 class TestExpectationConstants:
+    @pytest.mark.parametrize("d", [1, 2, 9, 400])
+    def test_shared_unweighted_constants_have_the_recomputed_bits(self, d):
+        # an unweighted measure's constants are computed once and shared by
+        # its specs at every d
+        for measure in UNWEIGHTED:
+            spec = kernel_spec(measure, d)
+            stored = (spec.eb, spec.ec_uv, spec.ec_uu)
+            assert [float(c).hex() for c in stored] == [
+                float(c).hex() for c in expectation_constants(spec)]
+
     @pytest.mark.parametrize("measure", UNWEIGHTED, ids=lambda m: m.value)
     def test_constants_match_hand_integration(self, measure):
         spec = kernel_spec(measure, 4)

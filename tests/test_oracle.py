@@ -88,6 +88,17 @@ class TestLocalDiscrepancy:
         with pytest.raises(ValidationError, match=r"volume must be finite and lie in \[0, 1\]"):
             local_discrepancy(PointSet([[0.5]]), [True], volume)
 
+    @pytest.mark.parametrize("inside", [[0.3, 7], [2, 0], [math.nan, 1], ["1", "0"]],
+                             ids=repr)
+    def test_membership_that_is_not_boolean_or_0_1_is_refused(self, inside):
+        # cast to bool, [0.3, 7] counted both points and gave 0.5
+        with pytest.raises(ValidationError, match="boolean or 0/1"):
+            local_discrepancy(PointSet([[0.5], [0.2]]), inside, 0.5)
+
+    @pytest.mark.parametrize("inside", [[True, False], [1, 0], [1.0, 0.0]], ids=repr)
+    def test_boolean_and_0_1_memberships_agree(self, inside):
+        assert local_discrepancy(PointSet([[0.5], [0.2]]), inside, 0.25) == 0.25
+
 
 class TestBoxMembership:
     def test_star(self):
