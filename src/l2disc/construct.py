@@ -200,11 +200,6 @@ def _grid_points(axis: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
     return np.stack([axis[i] for i in idx], axis=1)
 
 
-def _candidate_grid(d: int, k: int) -> np.ndarray:
-    """Every grid point in scan order, shape (k**d, d)."""
-    return _grid_points(_grid_axis(d, k), d, np.arange(k ** d))
-
-
 def _grid_blocks(d: int, k: int, rows: int):
     """Split the grid in scan order into blocks of about _SUM_BLOCK // rows
     points: whole lines (a_0..a_{d-2} fixed, a_{d-1} running) or, where one

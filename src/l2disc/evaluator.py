@@ -35,7 +35,7 @@ from .core import (
     check_unit_cube,
     reflect,
 )
-from .kernels import KernelSpec, b_rows, c_cross, kernel_spec, mirrored
+from .kernels import KernelSpec, b_rows, c_cross, kernel_spec, mirrored, point_factors
 
 __all__ = [
     "squared_value",
@@ -289,12 +289,11 @@ def greedy_contribution(spec: KernelSpec, points: PointSet, y) -> float:
     Adding the constant that collects all terms not involving y and
     dividing by (n+1) recovers the full squared discrepancy of the extended
     set, so the argmin over y of F equals the argmin of the extended
-    discrepancy — a relation the tests verify pointwise.  ``y`` is a single
-    point: a 2-d array is refused.
+    discrepancy — a relation the tests verify pointwise.  y's own products
+    come from `kernels.point_factors`; a 2-d ``y`` is refused.
     """
     coords = _checked_coords(spec, points.coords)
-    ypt = check_point("candidate y", y, spec.d)[None]
-    bprod = float(b_rows(spec, ypt)[0])
-    cross = float(c_cross(spec, coords, ypt).sum())
-    selfprod = float(c_cross(spec, ypt, ypt)[0, 0])
-    return -2.0 * bprod + (2.0 * cross + selfprod) / (coords.shape[0] + 1)
+    y = check_point("candidate y", y, spec.d)
+    bs, cs = point_factors(spec, y)
+    cross = float(c_cross(spec, coords, y[None]).sum())
+    return -2.0 * math.prod(bs) + (2.0 * cross + math.prod(cs)) / (coords.shape[0] + 1)

@@ -13,9 +13,9 @@ bit-for-bit those of the two-term form.  The weighted variants are
 Hickernell's product weights applied to a base measure: B -> 1 + gamma_j B,
 C -> 1 + gamma_j C and A -> prod_j (1 + gamma_j A(1)).
 
-The coordinate-product sums of that form are written once, here:
-``b_rows`` and ``c_cross`` multiply the factors in coordinate order
-j = 0..d-1 into one accumulator, over any leading batch axes.
+The coordinate products of that form are written once, here, each in
+coordinate order j = 0..d-1 from 1.0: ``b_rows`` and ``c_cross`` over any
+leading batch axes, and ``point_factors`` for the factors of one point.
 
 A KernelSpec also carries the expectation constants
 
@@ -331,6 +331,13 @@ def c_cross(spec: KernelSpec, left: np.ndarray, right: np.ndarray) -> np.ndarray
     for j in range(1, spec.d):
         out *= spec.c_col(left[..., :, None, j], right[..., None, :, j], j)
     return out
+
+
+def point_factors(spec: KernelSpec, p: np.ndarray) -> tuple[list, list]:
+    """[B_j(p_j)] and [C_j(p_j, p_j)] of one point, one call each over the axis
+    indices; their math.prod has the bits of b_rows and c_cross on p[None]."""
+    j = np.arange(spec.d)
+    return spec.b_col(p, j).tolist(), spec.c_col(p, p, j).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MeasureId, PointSet, ValidationError, check_count, check_point
-from .evaluator import squared_discrepancy
-from .kernels import KernelSpec, kernel_spec
+from .core import MeasureId, SquaredDiscrepancy, ValidationError, check_count, check_point
+from .kernels import KernelSpec, kernel_spec, point_factors
 
 __all__ = [
     "PathologyRow",
@@ -183,13 +182,18 @@ def single_point_value(measure, d: int, anchor, *, gamma=None) -> float:
     """Squared discrepancy of n identical copies of ``anchor``, any n.
 
     With all points coincident the closed form collapses to
-    A - 2 prod_j B_j(p) + prod_j C_j(p, p), independent of n, so the
-    value is computed from a single-point set.  ``anchor`` is a single
-    point: a 2-d array is refused.
+    A - 2 prod_j B_j(p) + prod_j C_j(p, p), independent of n: the one-point
+    set's `squared_discrepancy`, bit for bit and guarded alike, from the
+    anchor's factors (`kernels.point_factors`).  A 2-d anchor is refused.
     """
     spec = kernel_spec(measure, d, gamma)
-    anchor = check_point("anchor", anchor, spec.d)
-    return squared_discrepancy(spec, PointSet(anchor[None])).value
+    return _single(spec, *point_factors(spec, check_point("anchor", anchor, spec.d)))
+
+
+def _single(spec: KernelSpec, bs: list, cs: list) -> float:
+    """A - 2 prod B + prod C of a point's factors, guarded as a set's value."""
+    value = spec.a - 2.0 * math.prod(bs) + math.prod(cs)
+    return SquaredDiscrepancy(spec.measure, value, 1, spec.d).value
 
 
 def _constant_products(spec: KernelSpec) -> float:
@@ -209,23 +213,21 @@ def _crossover(spec: KernelSpec) -> tuple[float, float, float]:
     """(J, single, t): n*E[D^2] of IID points, the replicated anchor's
     value, and the crossover t = J / single (+inf if single <= 0), taken
     for an unweighted measure from `_scaled_crossover`."""
-    anchor = anchor_point(spec.measure, spec.d)
-    j = _constant_products(spec)
-    single = single_point_value(spec.measure, spec.d, anchor, gamma=spec.gamma)
-    num, den = (j, single) if spec.gamma is not None else _scaled_crossover(spec, anchor[0])
+    factors = point_factors(spec, anchor_point(spec.measure, spec.d))
+    j, single = _constant_products(spec), _single(spec, *factors)
+    num, den = (j, single) if spec.gamma is not None else _scaled_crossover(spec, *factors)
     return j, single, (num / den if den > 0.0 else math.inf)
 
 
-def _scaled_crossover(spec: KernelSpec, p: float) -> tuple[float, float]:
-    """J / m^d and single / m^d for an unweighted anchor with coordinate p on
-    every axis: J = u^d - v^d and single = A - 2 b^d + c^d, with u, v = E C(u,u),
-    E C(u,v), b, c = B(p), C(p, p) and A = ±|A_1|^d.  Every 1-D constant is
-    divided by the largest magnitude m before its power is taken, so the
-    ratio stays finite where J and single leave float range (12^-d is 0.0
-    from d = 300)."""
+def _scaled_crossover(spec: KernelSpec, bs: list, cs: list) -> tuple[float, float]:
+    """J / m^d and single / m^d for an unweighted anchor with the same
+    coordinate on every axis, hence the same factors b, c = bs[0], cs[0]:
+    J = u^d - v^d and single = A - 2 b^d + c^d, with u, v = E C(u,u),
+    E C(u,v) and A = ±|A_1|^d.  Every 1-D constant is divided by the largest
+    magnitude m before its power is taken, so the ratio stays finite where J
+    and single leave float range (12^-d is 0.0 from d = 300)."""
     a1 = kernel_spec(spec.measure, 1).a
-    b, c = float(spec.b_col(p, 0)), float(spec.c_col(p, p, 0))
-    consts = (spec.ec_uu, spec.ec_uv, a1, b, c)
+    consts = (spec.ec_uu, spec.ec_uv, a1, bs[0], cs[0])
     m = max(abs(x) for x in consts)
     u, v, a, b, c = (x / m for x in consts)
     d = spec.d

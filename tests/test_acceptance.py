@@ -37,7 +37,7 @@ from l2disc import (
     squared_discrepancy,
 )
 from l2disc.cli import main
-from l2disc.construct import _candidate_grid
+from l2disc.construct import _grid_axis, _grid_points
 from l2disc.pathology import anchor_point, reference_row
 from l2disc.reference import SOBOL_STAR_16_D2, TABLE3_SOBOL
 
@@ -252,7 +252,7 @@ def test_criterion_06_greedy_affine_relation():
 
 
 def test_criterion_07_center_greedy_degeneracy():
-    grid = _candidate_grid(2, 101)
+    grid = _grid_points(_grid_axis(2, 101), 2, np.arange(101 ** 2))
     start = PointSet([[0.5, 0.5]])
 
     ctr_final, _ = greedy_extend(

@@ -88,6 +88,28 @@ CONTRIBUTION = {
     "asd": "-0x1.b75d48980f450p-8",
     "ctr_weighted": "0x1.6f7ad0443bdc0p-4",
     "sym_weighted": "-0x1.0af798fb64dc0p-3",
+    # one and 100 coordinates: iid_uniform(N, d), with y and gamma cycling
+    # Y and GAMMA
+    "star-d1": "-0x1.3e06a0c57e94cp-3",
+    "ext-d1": "-0x1.fa6ed40a59268p-6",
+    "per-d1": "0x1.42414d2d11618p-1",
+    "ctr-d1": "-0x1.4ab8b00995cf4p-5",
+    "cad-d1": "-0x1.85d1384d847d8p-5",
+    "sym-d1": "-0x1.29fd5bb6eb8f9p-4",
+    "mix-d1": "-0x1.4c0b1a7088730p-4",
+    "asd-d1": "-0x1.44efe2738d3e8p-4",
+    "ctr_weighted-d1": "-0x1.3acb9de7ed9c0p-5",
+    "sym_weighted-d1": "-0x1.8a5f6cec67a00p-5",
+    "star-d100": "0x1.84bc78a178d50p-132",
+    "ext-d100": "0x1.2cfc8419a909dp-253",
+    "per-d100": "0x1.af286bca1af2ap-106",
+    "ctr-d100": "0x1.3c9ce0f4cae30p-286",
+    "cad-d100": "0x1.db627d9d99019p-203",
+    "sym-d100": "0x1.af286bca1af28p-206",
+    "mix-d100": "0x1.c6bc021f5ed4ap-45",
+    "asd-d100": "0x1.af286bca1af16p-106",
+    "ctr_weighted-d100": "0x1.0261fb95f0351p+47",
+    "sym_weighted-d100": "0x1.2dac1abf81af9p+53",
 }
 EXPECTED_IID = {
     "star": "0x1.379b8c2c13798p-9",
@@ -231,10 +253,18 @@ def test_squared_value_segmented(measure):
     assert float(squared_value(_spec(measure), coords)).hex() == VALUE_SEGMENTED[measure]
 
 
-@pytest.mark.parametrize("measure", sorted(CONTRIBUTION))
-def test_greedy_contribution(measure, points):
-    got = float(greedy_contribution(_spec(measure), points, Y))
-    assert got.hex() == CONTRIBUTION[measure]
+@pytest.mark.parametrize("case", sorted(CONTRIBUTION))
+def test_greedy_contribution(case, points):
+    measure, _, d = case.partition("-d")
+    if d:
+        d = int(d)
+        gamma = np.resize(GAMMA, d) if measure.endswith("weighted") else None
+        spec, y = kernel_spec(measure, d, gamma), np.resize(Y, d)
+        points = iid_uniform(N, d, seed=SEED)
+    else:
+        spec, y = _spec(measure), Y
+    got = float(greedy_contribution(spec, points, y))
+    assert got.hex() == CONTRIBUTION[case]
 
 
 @pytest.mark.parametrize("measure", sorted(EXPECTED_IID))

@@ -255,6 +255,26 @@ class TestPublishedTables:
         digest = hashlib.sha256((smoke_tables / name).read_bytes()).hexdigest()
         assert digest == self.PINS[name]
 
+    # sha256 of the pathology CSVs as written with numpy 2.4.6 and scipy
+    # 1.17.1: d = 1..400, where ext's and ctr's single values underflow, and
+    # Table 1's d = 1..10
+    PATHOLOGY_PINS = {
+        ("pathology", "--d", 400): (
+            "pathology.csv",
+            "a173846a9c242ce0dab049a0efe6e61685825d2e375f79ca235babe7f0b5be7b"),
+        ("tables", "--which", "table1"): (
+            "table1.csv",
+            "438b1dc1b5b965c9139ed3e180dc1f9d477315e591f46b2ee4ac0da81998e28c"),
+    }
+
+    @pytest.mark.parametrize("args", sorted(PATHOLOGY_PINS), ids=lambda a: a[-1])
+    def test_pathology_bytes_are_pinned(self, tmp_path, args):
+        name, pin = self.PATHOLOGY_PINS[args]
+        out = tmp_path / "pathology.csv" if args[0] == "pathology" else tmp_path
+        assert run([*args, "--out", out]) == 0
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == pin
+
     @pytest.mark.parametrize("which,order,ns,columns", [
         ("table3", TABLE3_ORDER, (16,),
          {"opt": TABLE3_OPT, "sobol": TABLE3_SOBOL}),

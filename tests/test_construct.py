@@ -26,10 +26,10 @@ from l2disc import (
 )
 from l2disc import construct
 from l2disc.construct import (
-    _candidate_grid,
     _cross_sums,
     _grid_axis,
     _grid_blocks,
+    _grid_points,
     _pattern_search,
     _slot_scores,
 )
@@ -37,6 +37,11 @@ from l2disc.kernels import b_rows, c_cross
 
 ALL_TAGS = ["star", "ext", "per", "ctr", "cad", "sym", "mix", "asd",
             "ctr_weighted", "sym_weighted"]
+
+
+def _grid(d, k):
+    """Every candidate grid point in scan order, shape (k**d, d)."""
+    return _grid_points(_grid_axis(d, k), d, np.arange(k ** d))
 
 
 def _spec(tag, d):
@@ -110,7 +115,7 @@ class TestGreedyExtend:
         base = PointSet([[0.5]])
         cfg = GreedyConfig(grid_k=41, max_refine_evaluations=0)
         final, _ = greedy_extend(spec, base, steps=1, cfg=cfg)
-        cands = _candidate_grid(1, 41)
+        cands = _grid(1, 41)
         best = min(
             cands,
             key=lambda y: squared_discrepancy(
@@ -178,7 +183,7 @@ class TestGreedyExtend:
 
     def test_candidate_grid_cap(self):
         with pytest.raises(ValidationError):
-            _candidate_grid(8, 65)
+            _grid_axis(8, 65)
 
 
 class TestDimensionCheck:
@@ -444,7 +449,7 @@ class TestSlotScores:
         base = iid_uniform(n, d, seed=n + d).coords
         chosen = iid_uniform(2, d, seed=1).coords
         total = n + 3
-        reference = _generic_scores(spec, base, chosen, _candidate_grid(d, k), total)
+        reference = _generic_scores(spec, base, chosen, _grid(d, k), total)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", width * n)
             scores = _grid_scores(spec, base, chosen, k, total)
@@ -469,9 +474,9 @@ class TestSlotScores:
         spec = _spec(tag, d)
         base = iid_uniform(n, d, seed=seed).coords
         # grid values among the chosen points make ties of the kink factors
-        chosen = _candidate_grid(d, k)[seed % k ** d:][:n_chosen]
+        chosen = _grid(d, k)[seed % k ** d:][:n_chosen]
         total = n + n_chosen + 1
-        reference = _generic_scores(spec, base, chosen, _candidate_grid(d, k), total)
+        reference = _generic_scores(spec, base, chosen, _grid(d, k), total)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", block)
             mp.setattr(construct, "_PREFIX_FLOATS", chunk)
@@ -601,7 +606,7 @@ class TestBatchedSweeps:
         old = iid_uniform(9, d, seed=k + d).coords
         new = iid_uniform(3, d, seed=k + d + 1).coords
         axis = _grid_axis(d, k)
-        cands = _candidate_grid(d, k)
+        cands = _grid(d, k)
         generic = np.sum(c_cross(spec, np.vstack([old, new]), cands), axis=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", block)
@@ -630,7 +635,7 @@ class TestBatchedSweeps:
         assume(-(-n // group) * k ** d // max(2, block // group) <= 2**13)
         spec = _spec(tag, d)
         pts = iid_uniform(n, d, seed=seed).coords
-        generic = np.sum(c_cross(spec, pts, _candidate_grid(d, k)), axis=0)
+        generic = np.sum(c_cross(spec, pts, _grid(d, k)), axis=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(construct, "_SUM_BLOCK", block)
             got = _cross_sums(spec, _grid_axis(d, k), pts)

@@ -21,6 +21,7 @@ from l2disc import (
     replicated_point,
     single_point_value,
     squared_discrepancy,
+    squared_value,
 )
 from l2disc.pathology import (
     TABLE_MEASURES,
@@ -70,6 +71,18 @@ class TestSinglePointValue:
     def test_anchor_length_checked(self):
         with pytest.raises(ValidationError):
             single_point_value("star", 2, (1.0,))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 100, 400])
+    @pytest.mark.parametrize("measure", list(MeasureId), ids=lambda m: m.value)
+    def test_bits_of_the_one_point_set(self, measure, d):
+        # the evaluator's value of the one-point set is the reference path
+        gamma = 1.0 / np.arange(1, d + 1) if measure.weighted else None
+        spec = kernel_spec(measure, d, gamma)
+        anchors = (np.ones(d), np.zeros(d), np.full(d, 0.5),
+                   np.random.default_rng(d).random(d))
+        for anchor in anchors:
+            got = single_point_value(measure, d, anchor, gamma=gamma)
+            assert got.hex() == squared_value(spec, anchor[None]).hex()
 
 
 class TestExpectedIidSquared:
@@ -308,6 +321,14 @@ class TestDimensionIsChecked:
 
 
 class TestRuntimeBudget:
+    def test_pathology_table_to_d400_is_fast(self):
+        # 8 measures x 400 dimensions, each row's anchor from its closed form
+        import time
+
+        start = time.process_time()
+        pathology_table(range(1, 401))
+        assert time.process_time() - start <= 3.0
+
     def test_full_sweep_is_fast(self):
         import time
 
